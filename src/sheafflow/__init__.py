@@ -63,6 +63,7 @@ from .sheaf import (
     Weighting,
     check_projection_property,
     check_suffix_section_lemmas,
+    constant_sheaf,
     flow_step,
     global_sections,
     harmonic_flow,
@@ -84,7 +85,7 @@ __all__ = [
     "adjunction_defect", "check_unit_counit", "perturbed_adjunction",
     "check_colim_inequality", "synthesize_right_adjoint",
     "FixpointQuery", "suffix_points", "prefix_points", "stable_points", "verify_tarski",
-    "Graph", "Weighting", "NetworkSheaf", "SheafError", "FlowStep", "FlowTrace",
+    "Graph", "Weighting", "NetworkSheaf", "SheafError", "FlowStep", "FlowTrace", "constant_sheaf",
     "flow_step", "laplacian", "harmonic_flow", "is_fuzzy_global_section",
     "global_sections", "check_suffix_section_lemmas", "check_projection_property",
     "LawReport", "Violation",

@@ -13,16 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..qcat import OppositeCategory, QFunctor, UnderlineQ, object_sort_key
+from ..qcat import OppositeCategory, UnderlineQ, object_sort_key
 from ..quantale import LawvereRealsQuantale
 from ..sheaf import (
     FlowStep,
     FlowTrace,
     Graph,
-    NetworkSheaf,
     Weighting,
     cochain_hom,
     cochain_iso,
+    constant_sheaf,
     flow_step,
     harmonic_flow,
     laplacian,
@@ -55,16 +55,7 @@ def _build(edges: Iterable[tuple], vertices: Iterable | None):
         table[(v, u)] = w
     g = Graph.build(sorted(vs, key=object_sort_key), pairs)
     W = Weighting(g, R, table=table)
-    cat = OppositeCategory(UnderlineQ(R))
-    lat = lattice_for(cat)
-    ident = QFunctor(cat, cat, lambda x: x, name="id")
-    F = NetworkSheaf(
-        g, R,
-        {v: lat for v in g.vertices},
-        {e: lat for e in g.edges},
-        {(v, e): ident for e in g.edges for v in e},
-        {(e, v): ident for e in g.edges for v in e},
-    )
+    F = constant_sheaf(g, R, lattice_for(OppositeCategory(UnderlineQ(R))))
     return F, W, g
 
 

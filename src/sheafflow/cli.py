@@ -17,11 +17,12 @@ from .apps import des as des_app
 from .apps import paths as paths_app
 from .apps import prefs as prefs_app
 from .fileio import InputFormatError, emit, load_input
+from .gen import random_cochain
 from .oracle import classic_shortest_paths, grid_residual
-from .qcat import NotEnumerableError, QFunctor, validate_category
+from .qcat import NotEnumerableError, validate_category
 from .quantale import check_quantale_laws
-from .sheaf import (NetworkSheaf, Weighting, check_suffix_section_lemmas,
-                    global_sections, harmonic_flow, is_fuzzy_global_section)
+from .sheaf import (check_suffix_section_lemmas, constant_sheaf, global_sections,
+                    harmonic_flow, is_fuzzy_global_section)
 from .wlattice import AnalyticLattice
 
 
@@ -209,9 +210,8 @@ def _cmd_verify(kind, loaded, args, out, rng):
         cochains = [initial] if initial else []
         for _ in range(4 - len(cochains)):
             try:
-                from .gen import random_cochain
                 cochains.append(random_cochain(rng, F))
-            except Exception:
+            except NotEnumerableError:
                 break
         if cochains:
             rep = check_suffix_section_lemmas(F, W, q=F.quantale.unit, cochains=cochains)
@@ -257,11 +257,8 @@ def _cmd_des(kind, loaded, args, out, rng):
     if kind != "des":
         raise InputFormatError(f"field 'kind' must be 'des' for this command, got {kind!r}")
     sys_ = loaded
-    F, W = des_app.des_sheaf(sys_)
+    F, W, x0 = _sheaf_from(kind, sys_)
     _apply_tolerance(F.quantale, args.tolerance)
-    x0 = getattr(sys_, "initial", None)
-    if x0 is None:
-        x0 = {v: (0.0,) * sys_.m for v in sys_.graph.vertices}
     trace = harmonic_flow(F, W, x0, max_iter=args.max_iter)
     final = trace.final
     emit({"record": "summary", "status": trace.status,
@@ -300,20 +297,11 @@ def _cmd_prefs(kind, loaded, args, out, rng):
     _apply_tolerance(Q, args.tolerance)
     cat = data["category"]
     graph = data["graph"]
-    lat = AnalyticLattice(cat, cat.analytic_lattice_ops())
-    ident = QFunctor(cat, cat, lambda x: x, name="id")
-    F = NetworkSheaf(
-        graph, Q,
-        {v: lat for v in graph.vertices},
-        {e: lat for e in graph.edges},
-        {(v, e): ident for e in graph.edges for v in e},
-        {(e, v): ident for e in graph.edges for v in e},
-    )
-    W = Weighting(graph, Q)
+    F = constant_sheaf(graph, Q, AnalyticLattice(cat, cat.analytic_lattice_ops()))
     schedule = None
     if data["eps"] is not None:
         schedule = prefs_app.bounded_confidence_weighting(F, data["eps"])
-    trace = harmonic_flow(F, W, data["initial"], max_iter=args.max_iter,
+    trace = harmonic_flow(F, data["weighting"], data["initial"], max_iter=args.max_iter,
                           weight_schedule=schedule)
     final = trace.final
     for v in graph.vertices:

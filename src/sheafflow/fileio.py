@@ -14,8 +14,9 @@ from typing import Any, IO, Mapping
 
 from .apps.des import DesSystem, minplus_transpose_apply, maxplus_apply, _sub_clipped
 from .apps.prefs import PreferenceCategory, check_relation, relation_from_table
-from .qcat import FiniteQCategory, OppositeCategory, PresheafPower, QFunctor, UnderlineQ
-from .quantale import Quantale, from_descriptor
+from .qcat import (FiniteQCategory, OppositeCategory, PresheafPower, QCategoryError, QFunctor,
+                   UnderlineQ)
+from .quantale import LawvereRealsQuantale, Quantale, QuantaleError, from_descriptor
 from .sheaf import Graph, NetworkSheaf, SheafError, Weighting
 from .wlattice import lattice_for
 from .adjunction import synthesize_right_adjoint
@@ -74,8 +75,25 @@ def emit(record: Mapping, stream: IO[str]) -> None:
     stream.write("\n")
 
 
+def _check_carrier(Q: Quantale, values, where: str) -> None:
+    """Reject input values outside the carrier; `where` names the field."""
+    for p in values:
+        if not Q.contains(p):
+            raise InputFormatError(f"{where}: {p!r} is not an element of the {Q.kind} carrier")
+
+
+def _finite_category(Q: Quantale, objects, hom, field: str) -> FiniteQCategory:
+    try:
+        return FiniteQCategory(Q, objects, hom)
+    except (QCategoryError, QuantaleError) as exc:
+        raise InputFormatError(f"field {field!r} is invalid: {exc}") from exc
+
+
 def load_quantale(payload: Mapping) -> Quantale:
-    return from_descriptor(dict(_need(payload, "quantale", "this input")))
+    try:
+        return from_descriptor(dict(_need(payload, "quantale", "this input")))
+    except QuantaleError as exc:
+        raise InputFormatError(f"field 'quantale' is invalid: {exc}") from exc
 
 
 def build_stalk(Q: Quantale, desc: Mapping):
@@ -92,33 +110,38 @@ def build_stalk(Q: Quantale, desc: Mapping):
     if kind == "finite":
         objects = [decode_value(x) for x in _need(desc, "objects", "finite stalk")]
         hom = [[decode_value(h) for h in row] for row in _need(desc, "hom", "finite stalk")]
-        return lattice_for(FiniteQCategory(Q, objects, hom), prefer="enumerable")
+        return lattice_for(_finite_category(Q, objects, hom, "stalks"), prefer="enumerable")
     raise InputFormatError(f"field 'kind' of a stalk descriptor has unknown value {kind!r}")
 
 
-def _build_map(desc: Mapping, dom, cod, name: str) -> QFunctor:
+def _build_map(desc: Mapping, dom, cod, name: str, field: str) -> QFunctor:
+    """Map descriptor -> functor; its constants must lie in the carrier and a
+    table's targets in the target stalk."""
     kind = _need(desc, "kind", f"map descriptor {name}")
+    where = f"field {field!r} at {name!r}"
     if kind == "identity":
         return QFunctor(dom.category, cod.category, lambda x: x, name=f"id[{name}]")
-    if kind == "affine_shift":
-        c = float(decode_value(_need(desc, "c", "affine_shift map")))
-        return QFunctor(dom.category, cod.category, lambda x, c=c: x + c, name=f"shift{c}[{name}]")
-    if kind == "affine_unshift":
-        c = float(decode_value(_need(desc, "c", "affine_unshift map")))
+    if kind in ("affine_shift", "affine_unshift"):
+        c = float(decode_value(_need(desc, "c", f"{kind} map")))
+        _check_carrier(cod.quantale, [c], f"{where}, 'c'")
+        if kind == "affine_shift":
+            return QFunctor(dom.category, cod.category, lambda x, c=c: x + c, name=f"shift{c}[{name}]")
         return QFunctor(dom.category, cod.category, lambda y, c=c: _sub_clipped(y, c),
                         name=f"unshift{c}[{name}]")
-    if kind == "max_plus":
-        A = _decode_matrix(_need(desc, "delays", "max_plus map"))
-        return QFunctor(dom.category, cod.category, lambda x, A=A: maxplus_apply(A, x),
-                        name=f"maxplus[{name}]")
-    if kind == "min_plus_transpose":
-        A = _decode_matrix(_need(desc, "delays", "min_plus_transpose map"))
+    if kind in ("max_plus", "min_plus_transpose"):
+        A = _decode_matrix(_need(desc, "delays", f"{kind} map"))
+        _check_carrier(cod.quantale, [a for row in A for a in row], f"{where}, 'delays'")
+        if kind == "max_plus":
+            return QFunctor(dom.category, cod.category, lambda x, A=A: maxplus_apply(A, x),
+                            name=f"maxplus[{name}]")
         return QFunctor(dom.category, cod.category,
-                        lambda y, A=A: minplus_transpose_apply(A, y),
-                        name=f"minplusT[{name}]")
+                        lambda y, A=A: minplus_transpose_apply(A, y), name=f"minplusT[{name}]")
     if kind == "table":
         pairs = _need(desc, "pairs", "table map")
         mapping = {decode_value(a): decode_value(b) for a, b in pairs}
+        for b in mapping.values():
+            if not cod.category.has_object(b):
+                raise InputFormatError(f"{where}: table target {b!r} is not an object of its stalk")
         return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
     raise InputFormatError(f"field 'kind' of map descriptor {name} has unknown value {kind!r}")
 
@@ -127,19 +150,16 @@ def _decode_matrix(rows) -> tuple:
     return tuple(tuple(float(decode_value(c)) for c in row) for row in rows)
 
 
+_RIGHT_ADJOINT_KIND = {"identity": "identity", "affine_shift": "affine_unshift",
+                       "max_plus": "min_plus_transpose"}
+
+
 def derive_corestriction(desc: Mapping, rest: QFunctor, edge_lat, vertex_lat, name: str) -> QFunctor:
     """Right adjoint implied by a restriction descriptor."""
     kind = desc.get("kind")
-    if kind == "identity":
-        return QFunctor(edge_lat.category, vertex_lat.category, lambda y: y, name=f"id[{name}]")
-    if kind == "affine_shift":
-        c = float(decode_value(desc["c"]))
-        return QFunctor(edge_lat.category, vertex_lat.category,
-                        lambda y, c=c: _sub_clipped(y, c), name=f"unshift{c}[{name}]")
-    if kind == "max_plus":
-        A = _decode_matrix(desc["delays"])
-        return QFunctor(edge_lat.category, vertex_lat.category,
-                        lambda y, A=A: minplus_transpose_apply(A, y), name=f"minplusT[{name}]")
+    if kind in _RIGHT_ADJOINT_KIND:
+        return _build_map({**desc, "kind": _RIGHT_ADJOINT_KIND[kind]}, edge_lat, vertex_lat,
+                          name, "restrictions")
     if kind == "table":
         res = synthesize_right_adjoint(rest)
         return QFunctor(edge_lat.category, vertex_lat.category,
@@ -159,16 +179,19 @@ def load_weighting(payload: Mapping, graph: Graph, Q: Quantale, where: str) -> W
     desc = payload.get("weighting")
     if desc is None:
         return Weighting(graph, Q)
-    if "constant" in desc:
-        return Weighting(graph, Q, constant=decode_value(desc["constant"]))
-    if "pairs" in desc:
-        table = {}
-        for v, w, val in desc["pairs"]:
-            table[(v, w)] = decode_value(val)
-        for v, w, _e in graph.adjacent_pairs():
-            if (v, w) not in table and (w, v) in table:
-                table[(v, w)] = table[(w, v)]
-        return Weighting(graph, Q, table=table)
+    try:
+        if "constant" in desc:
+            return Weighting(graph, Q, constant=decode_value(desc["constant"]))
+        if "pairs" in desc:
+            table = {}
+            for v, w, val in desc["pairs"]:
+                table[(v, w)] = decode_value(val)
+            for v, w, _e in graph.adjacent_pairs():
+                if (v, w) not in table and (w, v) in table:
+                    table[(v, w)] = table[(w, v)]
+            return Weighting(graph, Q, table=table)
+    except (SheafError, QuantaleError) as exc:
+        raise InputFormatError(f"field 'weighting' in {where} is invalid: {exc}") from exc
     raise InputFormatError(f"field 'weighting' in {where} needs 'constant' or 'pairs'")
 
 
@@ -204,15 +227,19 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
             key = f"{v}|{_edge_key(e)}"
             if key not in rest_desc:
                 raise InputFormatError(f"field 'restrictions' is missing incidence {key!r}")
-            restrictions[(v, e)] = _build_map(rest_desc[key], vertex_lats[v], edge_lats[e], key)
+            restrictions[(v, e)] = _build_map(
+                rest_desc[key], vertex_lats[v], edge_lats[e], key, "restrictions")
             if key in corest_desc:
                 corestrictions[(e, v)] = _build_map(
-                    corest_desc[key], edge_lats[e], vertex_lats[v], key)
+                    corest_desc[key], edge_lats[e], vertex_lats[v], key, "corestrictions")
             else:
                 corestrictions[(e, v)] = derive_corestriction(
                     rest_desc[key], restrictions[(v, e)], edge_lats[e], vertex_lats[v], key)
 
-    F = NetworkSheaf(graph, Q, vertex_lats, edge_lats, restrictions, corestrictions)
+    try:
+        F = NetworkSheaf(graph, Q, vertex_lats, edge_lats, restrictions, corestrictions)
+    except SheafError as exc:
+        raise InputFormatError(f"field 'restrictions' is invalid: {exc}") from exc
     W = load_weighting(payload, graph, Q, "sheaf input")
     initial = payload.get("initial")
     if initial is not None:
@@ -220,6 +247,13 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
         missing = set(graph.vertices) - set(initial)
         if missing:
             raise InputFormatError(f"field 'initial' is missing vertices {sorted(missing)}")
+        unknown = set(initial) - set(graph.vertices)
+        if unknown:
+            raise InputFormatError(f"field 'initial' names unknown vertices {sorted(unknown)}")
+        for v in graph.vertices:
+            if not vertex_lats[v].category.has_object(initial[v]):
+                raise InputFormatError(
+                    f"field 'initial' at vertex {v!r}: {initial[v]!r} is not an object of its stalk")
     return F, W, initial
 
 
@@ -237,9 +271,10 @@ def load_des(payload: Mapping) -> DesSystem:
         if v not in delays_raw:
             raise InputFormatError(f"field 'delays' is missing vertex {v!r}")
         delays[v] = _decode_matrix(delays_raw[v])
+    R = LawvereRealsQuantale()
     weights = None
     if "weighting" in payload:
-        W = load_weighting(payload, graph, from_descriptor({"kind": "lawvere_reals"}), "des input")
+        W = load_weighting(payload, graph, R, "des input")
         weights = dict(W.table)
     try:
         sys_ = DesSystem(m=m, delays=delays, graph=graph, weights=weights)
@@ -253,6 +288,7 @@ def load_des(payload: Mapping) -> DesSystem:
             vec = tuple(float(decode_value(c)) for c in payload["initial"][v])
             if len(vec) != m:
                 raise InputFormatError(f"field 'initial' at {v!r} must have {m} entries")
+            _check_carrier(R, vec, f"field 'initial' at {v!r}")
             initial[v] = vec
         sys_.initial = initial
     return sys_
@@ -269,6 +305,8 @@ def load_paths(payload: Mapping) -> tuple[list, Any, list | None]:
     vertices = payload.get("vertices")
     if vertices is not None:
         vertices = [str(v) for v in vertices]
+    if source not in {x for e in edges for x in e[:2]}.union(vertices or ()):
+        raise InputFormatError(f"field 'source' names an unknown vertex {source!r}")
     return edges, source, vertices
 
 
@@ -289,6 +327,8 @@ def load_prefs(payload: Mapping) -> dict:
             raise InputFormatError(f"field 'initial' is missing vertex {v!r}")
         rel = relation_from_table(alternatives, [
             [decode_value(c) for c in row] for row in initial_raw[v]])
+        if len(rel) != cat.n or any(len(row) != cat.n for row in rel):
+            raise InputFormatError(f"field 'initial' at vertex {v!r} must be a {cat.n}x{cat.n} matrix")
         try:
             check_relation(Q, rel)
         except Exception as exc:
@@ -296,16 +336,19 @@ def load_prefs(payload: Mapping) -> dict:
         initial[v] = rel
     eps = None
     if "eps" in payload:
+        if "weighting" in payload:
+            raise InputFormatError(
+                "field 'weighting' cannot be combined with 'eps': the bounded-confidence "
+                "schedule replaces the weighting on every step")
         eps = {}
         for v in graph.vertices:
             if v not in payload["eps"]:
                 raise InputFormatError(f"field 'eps' is missing vertex {v!r}")
             eps[v] = decode_value(payload["eps"][v])
+            _check_carrier(Q, [eps[v]], f"field 'eps' at vertex {v!r}")
     return {
-        "quantale": Q, "category": cat, "graph": graph,
-        "initial": initial, "eps": eps,
-        "weighting_payload": payload.get("weighting"),
-        "payload": payload,
+        "quantale": Q, "category": cat, "graph": graph, "initial": initial, "eps": eps,
+        "weighting": load_weighting(payload, graph, Q, "prefs input"),
     }
 
 
@@ -328,7 +371,7 @@ def load_input(path: str) -> tuple[str, Any]:
         cat_payload = _need(payload, "category", "category input")
         objects = [decode_value(x) for x in _need(cat_payload, "objects", "category input")]
         hom = [[decode_value(h) for h in row] for row in _need(cat_payload, "hom", "category input")]
-        return kind, FiniteQCategory(Q, objects, hom)
+        return kind, _finite_category(Q, objects, hom, "category")
     if kind == "sheaf":
         return kind, load_sheaf(payload)
     if kind == "des":

@@ -4,7 +4,10 @@ product and its residual.
 An instance packages a carrier, the lattice order (leq / join / meet), a
 commutative multiplication whose unit is the top element, and the internal
 hom [p, q] = largest r with p * r <= q.  Elements are plain Python values
-(ints, floats, frozensets); each kind documents its carrier.
+(ints, floats, frozensets); each kind documents its carrier, and the Boolean
+quantale is the 2-element chain.  The order and monoid ops assume carrier
+members and do not check them: `contains` / `require` run once, where values
+enter (file loaders, constructors, and the transport images a sheaf samples).
 
 The order on extended-real costs is reversed: leq(p, q) holds when p >= q
 numerically, so join is numeric min, the unit is 0 and bottom is infinity.
@@ -111,54 +114,6 @@ class Quantale:
         return hash(str(sorted(self.descriptor().items())))
 
 
-class BooleanQuantale(Quantale):
-    """Carrier {0, 1}, multiplication = and, hom = implication."""
-
-    kind = "boolean"
-
-    def contains(self, p):
-        return p in (0, 1)
-
-    @property
-    def is_enumerable(self):
-        return True
-
-    def elements(self):
-        return [0, 1]
-
-    top = property(lambda self: 1)
-    bottom = property(lambda self: 0)
-
-    def leq(self, p, q):
-        self.require(p, q)
-        return p <= q
-
-    def join(self, elems):
-        out = 0
-        for p in elems:
-            self.require(p)
-            out = max(out, p)
-        return out
-
-    def meet(self, elems):
-        out = 1
-        for p in elems:
-            self.require(p)
-            out = min(out, p)
-        return out
-
-    def mul(self, p, q):
-        self.require(p, q)
-        return min(p, q)
-
-    def hom(self, p, q):
-        self.require(p, q)
-        return 1 if p <= q else q
-
-    def sample(self, rng):
-        return rng.randrange(2)
-
-
 class UnitIntervalQuantale(Quantale):
     """Carrier [0, 1] with a t-norm multiplication.
 
@@ -183,11 +138,9 @@ class UnitIntervalQuantale(Quantale):
     bottom = property(lambda self: 0.0)
 
     def leq(self, p, q):
-        self.require(p, q)
         return p <= q + self.tolerance
 
     def eq(self, p, q):
-        self.require(p, q)
         return abs(p - q) <= self.tolerance
 
     def join(self, elems):
@@ -197,7 +150,6 @@ class UnitIntervalQuantale(Quantale):
         return min(elems, default=1.0)
 
     def mul(self, p, q):
-        self.require(p, q)
         if self.tnorm == "product":
             return p * q
         if self.tnorm == "lukasiewicz":
@@ -205,7 +157,6 @@ class UnitIntervalQuantale(Quantale):
         return min(p, q)
 
     def hom(self, p, q):
-        self.require(p, q)
         if p <= q:
             return 1.0
         if self.tnorm == "product":
@@ -250,11 +201,9 @@ class LawvereRealsQuantale(Quantale):
     bottom = property(lambda self: math.inf)
 
     def leq(self, p, q):
-        self.require(p, q)
         return p >= q - self.tolerance
 
     def eq(self, p, q):
-        self.require(p, q)
         if math.isinf(p) or math.isinf(q):
             return p == q
         return abs(p - q) <= self.tolerance
@@ -266,11 +215,9 @@ class LawvereRealsQuantale(Quantale):
         return max(elems, default=0.0)
 
     def mul(self, p, q):
-        self.require(p, q)
         return p + q
 
     def hom(self, p, q):
-        self.require(p, q)
         if math.isinf(p):
             return 0.0
         if math.isinf(q):
@@ -287,15 +234,11 @@ class LawvereRealsQuantale(Quantale):
 
 
 class FiniteQuantale(Quantale):
-    """Shared machinery for enumerable carriers: hom by exhaustive join."""
+    """Shared machinery for enumerable carriers."""
 
     @property
     def is_enumerable(self):
         return True
-
-    def hom(self, p, q):
-        self.require(p, q)
-        return self.join(r for r in self.elements() if self.leq(self.mul(p, r), q))
 
     def sample(self, rng):
         elems = self.elements()
@@ -303,7 +246,7 @@ class FiniteQuantale(Quantale):
 
 
 class FiniteChainQuantale(FiniteQuantale):
-    """Chain 0 < 1 < ... < n-1 with multiplication = min."""
+    """Chain 0 < 1 < ... < n-1; mul = min, [p, q] = top if p <= q else q."""
 
     kind = "finite_chain"
 
@@ -322,26 +265,19 @@ class FiniteChainQuantale(FiniteQuantale):
     bottom = property(lambda self: 0)
 
     def leq(self, p, q):
-        self.require(p, q)
         return p <= q
 
     def join(self, elems):
-        out = 0
-        for p in elems:
-            self.require(p)
-            out = max(out, p)
-        return out
+        return max(elems, default=0)
 
     def meet(self, elems):
-        out = self.n - 1
-        for p in elems:
-            self.require(p)
-            out = min(out, p)
-        return out
+        return min(elems, default=self.n - 1)
 
     def mul(self, p, q):
-        self.require(p, q)
         return min(p, q)
+
+    def hom(self, p, q):
+        return self.n - 1 if p <= q else q
 
     def descriptor(self):
         return {"kind": self.kind, "n": self.n}
@@ -350,9 +286,27 @@ class FiniteChainQuantale(FiniteQuantale):
         return f"FiniteChainQuantale({self.n})"
 
 
+class BooleanQuantale(FiniteChainQuantale):
+    """Carrier {0, 1}: the 2-element chain, so mul is and, hom implication."""
+
+    kind = "boolean"
+
+    def __init__(self):
+        super().__init__(2)
+
+    def contains(self, p):
+        return p in (0, 1)
+
+    def descriptor(self):
+        return {"kind": self.kind}
+
+    def __repr__(self):
+        return "BooleanQuantale()"
+
+
 class FinitePowersetQuantale(FiniteQuantale):
     """Subsets of a ground set (at most 5 points) under inclusion;
-    multiplication = intersection."""
+    multiplication = intersection, [p, q] = complement(p) | q."""
 
     kind = "finite_powerset"
 
@@ -374,26 +328,19 @@ class FinitePowersetQuantale(FiniteQuantale):
     bottom = property(lambda self: frozenset())
 
     def leq(self, p, q):
-        self.require(p, q)
         return p <= q
 
     def join(self, elems):
-        out = frozenset()
-        for p in elems:
-            self.require(p)
-            out = out | p
-        return out
+        return frozenset().union(*elems)
 
     def meet(self, elems):
-        out = self.top
-        for p in elems:
-            self.require(p)
-            out = out & p
-        return out
+        return self.top.intersection(*elems)
 
     def mul(self, p, q):
-        self.require(p, q)
         return p & q
+
+    def hom(self, p, q):
+        return (self.top - p) | q
 
     def descriptor(self):
         return {"kind": self.kind, "ground": list(self.ground)}
@@ -408,6 +355,8 @@ def from_descriptor(desc: dict) -> Quantale:
         raise QuantaleError(f"quantale descriptor must be a dict with a 'kind' field, got {desc!r}")
     kind = desc["kind"]
     tol = desc.get("tolerance")
+    if tol is not None and not (isinstance(tol, (int, float)) and tol >= 0):
+        raise QuantaleError(f"tolerance must be a nonnegative number, got {tol!r}")
     if kind == "boolean":
         return BooleanQuantale()
     if kind == "unit_interval":

@@ -179,8 +179,22 @@ class NetworkSheaf:
         ys = [f(x) for x in xs]
         return xs, ys
 
+    def _check_transports(self, v, e, xs: list, ys: list) -> None:
+        """The transports must carry the sample into the stalks; sampled stalks add
+        their top and bottom, whose images bound every monotone image."""
+        lat_v, lat_e = self.vertex_lattices[v], self.edge_lattices[e]
+        if not (lat_v.is_enumerable and lat_e.is_enumerable):
+            xs = [*xs, lat_v.top(), lat_v.bottom()]
+            ys = [*ys, lat_e.top(), lat_e.bottom()]
+        try:
+            lat_e.category.require_object(*map(self.restrictions[(v, e)], xs))
+            lat_v.category.require_object(*map(self.corestrictions[(e, v)], ys))
+        except QCategoryError as exc:
+            raise SheafError(f"transport at incidence ({v!r}, {e!r}) leaves its stalk: {exc}") from None
+
     def _measure_level(self, v, e, rng: Random, size: int):
         xs, ys = self._incidence_samples(v, e, rng, size)
+        self._check_transports(v, e, xs, ys)
         return adjunction_defect_on(
             self.quantale, self.vertex_lattices[v].category, self.edge_lattices[e].category,
             self.restrictions[(v, e)], self.corestrictions[(e, v)], xs, ys,
@@ -203,6 +217,18 @@ class NetworkSheaf:
                 raise SheafError(f"cochain missing vertex {v!r}")
             if not self.vertex_lattices[v].category.has_object(x[v]):
                 raise SheafError(f"cochain value {x[v]!r} is not in the stalk at {v!r}")
+
+
+def constant_sheaf(graph: Graph, quantale: Quantale, lattice: WeightedLattice) -> NetworkSheaf:
+    """One stalk everywhere, with identity restrictions and corestrictions."""
+    ident = QFunctor.identity(lattice.category)
+    return NetworkSheaf(
+        graph, quantale,
+        {v: lattice for v in graph.vertices},
+        {e: lattice for e in graph.edges},
+        {(v, e): ident for e in graph.edges for v in e},
+        {(e, v): ident for e in graph.edges for v in e},
+    )
 
 
 def adjunction_defect_on(Q, dom, cod, F, G, xs, ys):

@@ -268,11 +268,9 @@ class AnalyticLattice(WeightedLattice):
         return self.ops.bottom
 
     def tensor(self, q, x):
-        self.quantale.require(q)
         return self._out(self.ops.tensor(q, x))
 
     def cotensor(self, q, y):
-        self.quantale.require(q)
         return self._out(self.ops.cotensor(q, y))
 
     def crisp_meet(self, objs):

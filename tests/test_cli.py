@@ -145,3 +145,74 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _variant(tmp_path, fixture_path, name, edit):
+    payload = json.loads(open(fixture_path(name)).read())
+    edit(payload)
+    p = tmp_path / f"variant-{name}"
+    p.write_text(json.dumps(payload))
+    return str(p)
+
+
+def _set(path, value):
+    def edit(payload):
+        *outer, last = path
+        node = payload
+        for key in outer:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+# inputs that only per-operation carrier checks caught before values were
+# checked once at the loaders: each must be rejected by the loader itself
+PROBES = {
+    "eps-above-carrier": ("prefs", "prefs_chain.json", _set(("eps", "p"), 5), "'eps'"),
+    "eps-below-carrier": ("prefs", "prefs_chain.json", _set(("eps", "p"), -1), "'eps'"),
+    "negative-shift": ("flow", "k3_circulant.json",
+                       _set(("restrictions", "1|1,2", "c"), -5.0), "'restrictions'"),
+    "shift-leaves-unit-interval": ("flow", "k3_circulant.json",
+                                   _set(("quantale",), {"kind": "unit_interval"}),
+                                   "'restrictions'"),
+    "initial-off-stalk": ("validate", "sheaf_bool_edge.json",
+                          _set(("initial",), {"u": 1, "v": 5}), "'initial'"),
+    "table-target-off-stalk": ("validate", "sheaf_bool_edge.json",
+                               _set(("restrictions", "u|u,v", "pairs", 1), [1, 7]),
+                               "'restrictions'"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_boundary_rejects_out_of_carrier_input(tmp_path, fixture_path, capsys, probe):
+    command, name, edit, field = PROBES[probe]
+    path = _variant(tmp_path, fixture_path, name, edit)
+    for cmd in (command, "flow" if command == "validate" else "validate"):
+        assert main([cmd, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and field in err, err
+
+
+def test_prefs_weighting_is_used_without_eps(tmp_path, fixture_path):
+    def no_trust(payload):
+        del payload["eps"]
+        payload["weighting"] = {"constant": 0}
+    code, lines = _run(tmp_path, "prefs", "--input",
+                       _variant(tmp_path, fixture_path, "prefs_chain.json", no_trust))
+    assert code == 0
+    assert _records(lines, "summary")[-1]["zero_update"] == ["p", "q", "r"]
+
+
+def test_prefs_weighting_with_eps_rejected(tmp_path, fixture_path, capsys):
+    path = _variant(tmp_path, fixture_path, "prefs_chain.json",
+                    _set(("weighting",), {"constant": 1}))
+    assert main(["prefs", "--input", path]) == 2
+    assert "'weighting'" in capsys.readouterr().err
+
+
+def test_verify_surfaces_generator_faults(monkeypatch, fixture_path):
+    def broken(rng, F):
+        raise RuntimeError("generator fault")
+    monkeypatch.setattr("sheafflow.cli.random_cochain", broken)
+    with pytest.raises(RuntimeError):
+        main(["verify", "--input", fixture_path("sheaf_bool_edge.json")])

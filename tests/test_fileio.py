@@ -150,3 +150,30 @@ def test_prefs_bad_initial_relation_named(tmp_path, fixture_path):
     with pytest.raises(InputFormatError) as exc:
         load_input(str(p))
     assert "initial" in str(exc.value) and "p" in str(exc.value)
+
+
+def _set_path(payload, path, value):
+    *outer, last = path
+    for key in outer:
+        payload = payload[key]
+    payload[last] = value
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("quantale_chain4.json", ("quantale",), {"kind": "nope"}, "'quantale'"),
+    ("quantale_lukasiewicz.json", ("quantale", "tolerance"), "x", "'quantale'"),
+    ("category_chain3.json", ("category", "hom", 0, 1), 7, "'category'"),
+    ("k3_circulant.json", ("weighting",), {"constant": -1.0}, "'weighting'"),
+    ("k3_circulant.json", ("initial", "4"), 0.0, "'initial'"),
+    ("des_line.json", ("initial", "a"), [-1.0, 7.0], "'initial'"),
+    ("prefs_chain.json", ("initial", "p"), [[1]], "'initial'"),
+    ("paths_small.json", ("source",), "nowhere", "'source'"),
+])
+def test_loader_rejects_values_outside_the_input(tmp_path, fixture_path, name, path, value, field):
+    payload = json.loads(open(fixture_path(name)).read())
+    _set_path(payload, path, value)
+    p = tmp_path / name
+    p.write_text(json.dumps(payload))
+    with pytest.raises(InputFormatError) as exc:
+        load_input(str(p))
+    assert field in str(exc.value)

@@ -15,13 +15,23 @@ from sheafflow.oracle import (
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
+    FinitePowersetQuantale,
     LawvereRealsQuantale,
     UnitIntervalQuantale,
 )
 
 
-def test_grid_residual_exact_on_finite():
-    Q = FiniteChainQuantale(4)
+FINITE = {
+    "boolean": BooleanQuantale(),
+    **{f"chain{n}": FiniteChainQuantale(n) for n in range(2, 6)},
+    **{f"powerset{k}": FinitePowersetQuantale(range(k)) for k in range(1, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_grid_residual_exact_on_finite(name):
+    # the closed-form residuals against the oracle's exhaustive join
+    Q = FINITE[name]
     for p in Q.elements():
         for q in Q.elements():
             assert grid_residual(Q, p, q) == Q.hom(p, q)

@@ -122,6 +122,18 @@ def test_affine_mul_below_meet(finite_quantale):
             assert Q.leq(Q.mul(p, q), Q.meet2(p, q))
 
 
+def test_boolean_is_the_two_chain():
+    B, C = BooleanQuantale(), FiniteChainQuantale(2)
+    assert B.elements() == C.elements()
+    assert (B.top, B.bottom, B.unit) == (C.top, C.bottom, C.unit)
+    for p in B.elements():
+        for q in B.elements():
+            for op in ("leq", "eq", "mul", "hom", "join2", "meet2"):
+                assert getattr(B, op)(p, q) == getattr(C, op)(p, q), (op, p, q)
+    assert B.join([]) == C.join([]) and B.meet([]) == C.meet([])
+    assert B != C and B.descriptor() == {"kind": "boolean"}
+
+
 def test_descriptor_round_trip():
     for Q in (BooleanQuantale(), UnitIntervalQuantale("lukasiewicz"),
               LawvereRealsQuantale(), FiniteChainQuantale(3),

@@ -12,6 +12,7 @@ from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
     LawvereRealsQuantale,
+    UnitIntervalQuantale,
 )
 from sheafflow.sheaf import (
     Graph,
@@ -21,6 +22,7 @@ from sheafflow.sheaf import (
     check_projection_property,
     check_suffix_section_lemmas,
     cochain_hom,
+    constant_sheaf,
     flow_step,
     global_sections,
     harmonic_flow,
@@ -229,3 +231,26 @@ def test_weighting_validation():
         Weighting(g, Q, table={("a", "b"): 1})  # missing the reverse pair
     W = Weighting(g, Q, table={("a", "b"): 1, ("b", "a"): 0})
     assert not W.is_symmetric()
+
+
+def test_transport_leaving_its_stalk_rejected_at_construction():
+    Q = UnitIntervalQuantale("product")
+    L = lattice_for(UnderlineQ(Q))
+    g = Graph.build(["a", "b"], [("a", "b")])
+    e = g.edges[0]
+    ident = QFunctor.identity(L.category)
+    # only objects below 0.001 leave [0, 1], and no sampled object is one:
+    # the stalk bottom catches it
+    nudge = QFunctor(L.category, L.category, lambda x: x - 0.001, name="nudge")
+    with pytest.raises(SheafError, match="leaves its stalk"):
+        NetworkSheaf(g, Q, {"a": L, "b": L}, {e: L},
+                     {("a", e): nudge, ("b", e): ident}, {(e, "a"): ident, (e, "b"): ident})
+
+
+def test_constant_sheaf_has_identity_transports():
+    Q = BooleanQuantale()
+    g = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    F = constant_sheaf(g, Q, lattice_for(UnderlineQ(Q)))
+    assert F.is_crisp()
+    assert all(F.transport(w, v, e, x) == x
+               for v, w, e in g.adjacent_pairs() for x in Q.elements())
