@@ -15,7 +15,7 @@ from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from ..qcat import QCategory, QCategoryError, object_sort_key
-from ..quantale import Quantale
+from ..quantale import Quantale, QuantaleError
 from ..report import LawReport
 from ..sheaf import NetworkSheaf, Weighting
 from ..wlattice import AnalyticLattice, AnalyticOps
@@ -34,13 +34,12 @@ def relation_from_table(alternatives: Iterable, table: Mapping | Iterable) -> Re
     return tuple(tuple(row) for row in table)
 
 
-def check_relation(Q: Quantale, rel: Relation, tolerance_ok: bool = True) -> None:
+def check_relation(Q: Quantale, rel: Relation) -> None:
     n = len(rel)
     for i in range(n):
+        Q.require(*rel[i])
         if not Q.leq(Q.unit, rel[i][i]):
             raise ClosureError(f"not reflexive at index {i}: {rel[i][i]!r}")
-        for j in range(n):
-            Q.require(rel[i][j])
     for i, k, j in iproduct(range(n), range(n), range(n)):
         step = Q.mul(rel[i][k], rel[k][j])
         if not Q.leq(step, rel[i][j]):
@@ -49,17 +48,17 @@ def check_relation(Q: Quantale, rel: Relation, tolerance_ok: bool = True) -> Non
             )
 
 
-def compose_closure(Q: Quantale, rel: Relation, max_rounds: int | None = None) -> Relation:
+def compose_closure(Q: Quantale, rel: Relation) -> Relation:
     """Iterate R(a,b) <- join_x R(a,x) * R(x,b) to its fixed point.
 
     Converges because inserting a cycle multiplies by a value at most the
     unit, so simple compositions dominate; rounds double the covered path
-    length.
+    length, so n + 3 rounds always suffice.
     """
     n = len(rel)
     R = tuple(tuple(Q.join2(rel[i][j], Q.unit) if i == j else rel[i][j] for j in range(n))
               for i in range(n))
-    limit = max_rounds if max_rounds is not None else n + 3
+    limit = n + 3
     for _ in range(limit):
         nxt = tuple(
             tuple(Q.join(Q.mul(R[i][k], R[k][j]) for k in range(n)) for j in range(n))
@@ -109,7 +108,7 @@ class PreferenceCategory(QCategory):
             return False
         try:
             check_relation(self.quantale, x)
-        except ClosureError:
+        except (ClosureError, QuantaleError):
             return False
         return True
 
@@ -212,16 +211,14 @@ def pushforward(f: Mapping, P: Relation, dom: PreferenceCategory, cod: Preferenc
     return pushed
 
 
-def check_transfer_adjunction(
-    f: Mapping, dom: PreferenceCategory, cod: PreferenceCategory,
-    P_sample: Iterable[Relation] | None = None, M_sample: Iterable[Relation] | None = None,
-) -> LawReport:
-    """Level-1 Galois correspondence: pushforward <= M iff P <= pullback M."""
+def check_transfer_adjunction(f: Mapping, dom: PreferenceCategory,
+                              cod: PreferenceCategory) -> LawReport:
+    """Level-1 Galois correspondence over all relations: pushforward <= M iff
+    P <= pullback M."""
     Q = dom.quantale
     rep = LawReport(title="transfer adjunction")
-    Ps = list(P_sample) if P_sample is not None else dom.objects()
-    Ms = list(M_sample) if M_sample is not None else cod.objects()
-    for P in Ps:
+    Ms = cod.objects()
+    for P in dom.objects():
         pushed = pushforward(f, P, dom, cod)
         for M in Ms:
             left = Q.leq(Q.unit, cod.hom(pushed, M))

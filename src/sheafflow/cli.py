@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Subcommands: validate, flow, sections, verify, des, paths, prefs.  Every
-command reads one JSON input file, writes line-delimited JSON records with
-sorted keys, and echoes the seed, so a fixed seed gives byte-identical
-output.  Exit status: 0 on success, 1 when a validation or verification
-check fails, 2 when the input cannot be parsed.
+command reads one JSON input file (--input), writes line-delimited JSON
+records with sorted keys (--output, default stdout), and echoes --seed, so a
+fixed seed gives byte-identical output.  The other flags exist only on the
+subcommands that read them: --max-iter (>= 0) on flow, des, paths and prefs;
+--tolerance (>= 0) on all but paths; --grid (>= 1) on verify; --schedule on
+paths.  One table keyed by input kind says which subcommands take each kind,
+how each is run, and which quantale --tolerance overrides.  Exit status: 0
+on success, 1 when a validation or verification check fails, 2 when the
+input or a flag cannot be used.
 """
 from __future__ import annotations
 
@@ -23,7 +28,18 @@ from .qcat import NotEnumerableError, validate_category
 from .quantale import check_quantale_laws
 from .sheaf import (check_suffix_section_lemmas, constant_sheaf, global_sections,
                     harmonic_flow, is_fuzzy_global_section)
-from .wlattice import AnalyticLattice
+from .wlattice import AnalyticLattice, NoSuchObject
+
+
+def _at_least(low, convert):
+    """argparse type: `convert` the text and require at least `low` (NaN fails)."""
+    def check(text):
+        value = convert(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+    check.__name__ = convert.__name__
+    return check
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -33,19 +49,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, max_iter=200):
-        sp.add_argument("--input", required=True, help="JSON input file")
-        sp.add_argument("--output", default=None, help="output file (default stdout)")
-        sp.add_argument("--seed", type=int, default=0, help="random seed, echoed in output")
-        sp.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="override the quantale comparison tolerance")
-        sp.add_argument("--grid", type=int, default=1000,
-                        help="grid resolution for residual cross-checks")
-        sp.add_argument("--schedule", choices=("unweighted", "dijkstra"),
-                        default="unweighted", help="extraction schedule for paths")
-
     for name, help_ in [
         ("validate", "check the input against the laws of its kind"),
         ("flow", "run the harmonic flow from the input's initial cochain"),
@@ -55,92 +58,101 @@ def _parser() -> argparse.ArgumentParser:
         ("paths", "single-source shortest paths via the cost sheaf"),
         ("prefs", "diffuse preference relations over a network"),
     ]:
-        common(sub.add_parser(name, help=help_))
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--input", required=True, help="JSON input file")
+        sp.add_argument("--output", default=None, help="output file (default stdout)")
+        sp.add_argument("--seed", type=int, default=0, help="random seed, echoed in output")
+        if name in ("flow", "des", "paths", "prefs"):
+            sp.add_argument("--max-iter", type=_at_least(0, int), default=200,
+                            help="flow iteration cap (>= 0)")
+        if name != "paths":
+            sp.add_argument("--tolerance", type=_at_least(0.0, float), default=None,
+                            help="override the quantale comparison tolerance (>= 0)")
+        if name == "verify":
+            sp.add_argument("--grid", type=_at_least(1, int), default=1000,
+                            help="grid resolution for residual cross-checks (>= 1)")
+        if name == "paths":
+            sp.add_argument("--schedule", choices=("unweighted", "dijkstra"),
+                            default="unweighted", help="extraction schedule")
     return p
 
 
-def _apply_tolerance(Q, tolerance):
-    if tolerance is not None:
-        Q.tolerance = tolerance
-
-
-class _Failure(Exception):
-    pass
-
-
-def _report_lines(rep, out, seed, subject):
+def _report_lines(rep, out, seed, subject) -> bool:
+    """Emit a law report and its first violations; True when it passed."""
     emit({"record": "report", "subject": subject, "title": rep.title,
           "checks": rep.checks, "violations": len(rep.violations),
           "ok": rep.ok, "seed": seed}, out)
     for v in rep.violations[:20]:
         emit({"record": "violation", "subject": subject, "law": v.law,
               "witness": repr(v.witness), "detail": v.detail, "seed": seed}, out)
+    return rep.ok
 
 
-def _cmd_validate(kind, loaded, args, out, rng):
-    ok = True
-    if kind == "quantale":
-        Q = loaded
-        _apply_tolerance(Q, args.tolerance)
-        samples = "exhaustive" if Q.is_enumerable else [Q.sample(rng) for _ in range(25)]
-        rep = check_quantale_laws(Q, samples)
-        _report_lines(rep, out, args.seed, Q.kind)
-        ok = rep.ok
-    elif kind == "category":
-        C = loaded
-        _apply_tolerance(C.quantale, args.tolerance)
-        rep = validate_category(C)
-        _report_lines(rep, out, args.seed, "category")
-        ok = rep.ok
-    elif kind in ("sheaf", "des"):
-        if kind == "des":
-            F, W = des_app.des_sheaf(loaded)
-        else:
-            F, W, _initial = loaded
-        _apply_tolerance(F.quantale, args.tolerance)
-        for (v, e), level in sorted(F.adjunction_levels.items(), key=lambda kv: str(kv[0])):
-            emit({"record": "adjunction_level", "vertex": v, "edge": list(e),
-                  "level": level, "crisp": F.quantale.eq(level, F.quantale.unit),
-                  "seed": args.seed}, out)
-        emit({"record": "summary", "crisp": F.is_crisp(),
-              "symmetric_weights": W.is_symmetric(), "level": F.level(),
+# Every command takes (subject, args, out, rng) and returns False when a
+# validation or verification check fails.
+
+def _quantale_laws(Q, args, out, rng, samples: int = 25) -> bool:
+    rep = check_quantale_laws(
+        Q, "exhaustive" if Q.is_enumerable else [Q.sample(rng) for _ in range(samples)])
+    return _report_lines(rep, out, args.seed, Q.kind)
+
+
+def _verify_quantale(Q, args, out, rng) -> bool:
+    ok = _quantale_laws(Q, args, out, rng, 40)
+    worst = 0.0
+    pairs = Q.elements() if Q.is_enumerable else [Q.sample(rng) for _ in range(12)]
+    for p in pairs:
+        for q in pairs:
+            r = grid_residual(Q, p, q, resolution=args.grid)
+            worst = max(worst, Q.gap(Q.hom(p, q), r))
+    within = worst <= max(1e-6, 2.0 / args.grid)
+    emit({"record": "grid_residual", "resolution": args.grid,
+          "worst_gap": worst, "ok": within, "seed": args.seed}, out)
+    return ok and within
+
+
+def _category_laws(C, args, out, rng) -> bool:
+    return _report_lines(validate_category(C), out, args.seed, "category")
+
+
+# A sheaf subject is (sheaf, weighting, initial cochain or None, DesSystem of
+# a des input or None).
+
+def _validate_sheaf(s, args, out, rng) -> None:
+    F, W, _initial, _system = s
+    for (v, e), level in sorted(F.adjunction_levels.items(), key=lambda kv: str(kv[0])):
+        emit({"record": "adjunction_level", "vertex": v, "edge": list(e),
+              "level": level, "crisp": F.quantale.eq(level, F.quantale.unit),
               "seed": args.seed}, out)
-        ok = True
-    elif kind == "paths":
-        edges, source, vertices = loaded
-        bad = [e for e in edges if e[2] < 0]
-        for e in bad:
-            emit({"record": "violation", "law": "nonnegative-weight",
-                  "witness": list(e), "seed": args.seed}, out)
-        emit({"record": "summary", "edges": len(edges), "source": source,
-              "ok": not bad, "seed": args.seed}, out)
-        ok = not bad
-    elif kind == "prefs":
-        data = loaded
-        _apply_tolerance(data["quantale"], args.tolerance)
-        for v in data["graph"].vertices:
-            emit({"record": "relation_ok", "vertex": v, "seed": args.seed}, out)
-        emit({"record": "summary", "vertices": len(data["graph"].vertices),
-              "ok": True, "seed": args.seed}, out)
-    if not ok:
-        raise _Failure()
+    emit({"record": "summary", "crisp": F.is_crisp(),
+          "symmetric_weights": W.is_symmetric(), "level": F.level(),
+          "seed": args.seed}, out)
 
 
-def _sheaf_from(kind, loaded):
-    if kind == "des":
-        F, W = des_app.des_sheaf(loaded)
-        initial = getattr(loaded, "initial", None)
-        if initial is None:
-            initial = {v: (0.0,) * loaded.m for v in loaded.graph.vertices}
-        return F, W, initial
-    if kind == "sheaf":
-        return loaded
-    raise InputFormatError(f"field 'kind' must be 'sheaf' or 'des' for this command, got {kind!r}")
+def _verify_sheaf(s, args, out, rng) -> bool:
+    F, W, initial, system = s
+    ok = True
+    cochains = [initial] if initial else []
+    for _ in range(4 - len(cochains)):
+        try:
+            cochains.append(random_cochain(rng, F))
+        except NotEnumerableError:
+            break
+    if cochains:
+        rep = check_suffix_section_lemmas(F, W, q=F.quantale.unit, cochains=cochains)
+        ok = _report_lines(rep, out, args.seed, "descent-lemmas")
+    if system is not None:
+        slacks = des_app.agreement_slacks(system, W, initial)
+        for sl in slacks:
+            emit({"record": "slack", **{k: sl[k] for k in ("v", "w", "lhs", "bound", "slack")},
+                  "seed": args.seed}, out)
+        ok = ok and all(sl["slack"] >= -1e-9 for sl in slacks)
+    emit({"record": "summary", "level": F.level(), "ok": ok, "seed": args.seed}, out)
+    return ok
 
 
-def _cmd_flow(kind, loaded, args, out, rng):
-    F, W, initial = _sheaf_from(kind, loaded)
-    _apply_tolerance(F.quantale, args.tolerance)
+def _flow(s, args, out, rng) -> None:
+    F, W, initial, _system = s
     if initial is None:
         raise InputFormatError("field 'initial' is required to run a flow")
     trace = harmonic_flow(F, W, initial, max_iter=args.max_iter)
@@ -153,9 +165,8 @@ def _cmd_flow(kind, loaded, args, out, rng):
           "seed": args.seed}, out)
 
 
-def _cmd_sections(kind, loaded, args, out, rng):
-    F, W, initial = _sheaf_from(kind, loaded)
-    _apply_tolerance(F.quantale, args.tolerance)
+def _sections(s, args, out, rng) -> None:
+    F, W, initial, _system = s
     try:
         secs, _cat = global_sections(F, W)
     except NotEnumerableError:
@@ -169,115 +180,53 @@ def _cmd_sections(kind, loaded, args, out, rng):
         emit({"record": "summary", "sections": None, "enumerable": False,
               "seed": args.seed}, out)
         return
-    for s in secs:
+    for sec in secs:
         emit({"record": "section",
-              "cochain": {str(v): s[v] for v in F.graph.vertices},
+              "cochain": {str(v): sec[v] for v in F.graph.vertices},
               "seed": args.seed}, out)
     emit({"record": "summary", "sections": len(secs), "enumerable": True,
           "seed": args.seed}, out)
 
 
-def _cmd_verify(kind, loaded, args, out, rng):
-    ok = True
-    if kind == "quantale":
-        Q = loaded
-        _apply_tolerance(Q, args.tolerance)
-        samples = "exhaustive" if Q.is_enumerable else [Q.sample(rng) for _ in range(40)]
-        rep = check_quantale_laws(Q, samples)
-        _report_lines(rep, out, args.seed, Q.kind)
-        ok = rep.ok
-        worst = 0.0
-        pairs = (Q.elements() if Q.is_enumerable
-                 else [(Q.sample(rng)) for _ in range(12)])
-        for p in pairs:
-            for q in pairs:
-                r = grid_residual(Q, p, q, resolution=args.grid)
-                worst = max(worst, Q.gap(Q.hom(p, q), r))
-        emit({"record": "grid_residual", "resolution": args.grid,
-              "worst_gap": worst, "ok": worst <= max(1e-6, 2.0 / args.grid),
-              "seed": args.seed}, out)
-        ok = ok and worst <= max(1e-6, 2.0 / args.grid)
-    elif kind == "category":
-        C = loaded
-        _apply_tolerance(C.quantale, args.tolerance)
-        rep = validate_category(C)
-        _report_lines(rep, out, args.seed, "category")
-        ok = rep.ok
-    elif kind in ("sheaf", "des"):
-        F, W, initial = _sheaf_from(kind, loaded)
-        _apply_tolerance(F.quantale, args.tolerance)
-        level = F.level()
-        cochains = [initial] if initial else []
-        for _ in range(4 - len(cochains)):
-            try:
-                cochains.append(random_cochain(rng, F))
-            except NotEnumerableError:
-                break
-        if cochains:
-            rep = check_suffix_section_lemmas(F, W, q=F.quantale.unit, cochains=cochains)
-            _report_lines(rep, out, args.seed, "descent-lemmas")
-            ok = ok and rep.ok
-        if kind == "des":
-            slacks = des_app.agreement_slacks(loaded, W, initial) if initial else []
-            for s in slacks:
-                emit({"record": "slack", **{k: s[k] for k in ("v", "w", "lhs", "bound", "slack")},
-                      "seed": args.seed}, out)
-            ok = ok and all(s["slack"] >= -1e-9 for s in slacks)
-        emit({"record": "summary", "level": level, "ok": ok, "seed": args.seed}, out)
-    elif kind == "paths":
-        edges, source, vertices = loaded
-        want = classic_shortest_paths(edges, source, vertices)
-        got = {}
-        for mode in paths_app.MODES:
-            r = paths_app.shortest_paths(edges, source, mode=mode, vertices=vertices)
-            got[mode] = r.distances
-            emit({"record": "mode", "mode": mode,
-                  "matches_oracle": r.distances == want,
-                  "extractions": r.extractions, "seed": args.seed}, out)
-            ok = ok and r.distances == want
-        emit({"record": "summary", "ok": ok, "seed": args.seed}, out)
-    elif kind == "prefs":
-        data = loaded
-        Q = data["quantale"]
-        _apply_tolerance(Q, args.tolerance)
-        cat = data["category"]
-        ops = cat.analytic_lattice_ops()
-        for v in data["graph"].vertices:
-            rel = data["initial"][v]
-            joined = ops.crisp_join([rel, rel])
-            emit({"record": "closure_idempotent", "vertex": v,
-                  "ok": joined == rel, "seed": args.seed}, out)
-            ok = ok and joined == rel
-        emit({"record": "summary", "ok": ok, "seed": args.seed}, out)
-    if not ok:
-        raise _Failure()
-
-
-def _cmd_des(kind, loaded, args, out, rng):
-    if kind != "des":
-        raise InputFormatError(f"field 'kind' must be 'des' for this command, got {kind!r}")
-    sys_ = loaded
-    F, W, x0 = _sheaf_from(kind, sys_)
-    _apply_tolerance(F.quantale, args.tolerance)
+def _des(s, args, out, rng) -> None:
+    F, W, x0, system = s
     trace = harmonic_flow(F, W, x0, max_iter=args.max_iter)
     final = trace.final
     emit({"record": "summary", "status": trace.status,
           "converged_at": trace.converged_at, "crisp": F.is_crisp(),
           "seed": args.seed}, out)
     emit({"record": "final",
-          "cochain": {str(v): final[v] for v in sys_.graph.vertices},
+          "cochain": {str(v): final[v] for v in F.graph.vertices},
           "seed": args.seed}, out)
-    for s in des_app.agreement_slacks(sys_, W, final):
-        emit({"record": "slack", "v": s["v"], "w": s["w"], "lhs": s["lhs"],
-              "bound": s["bound"], "slack": s["slack"], "seed": args.seed}, out)
-    cf = des_app.closed_form_crosscheck(sys_, F, W, [x0, final])
+    for sl in des_app.agreement_slacks(system, W, final):
+        emit({"record": "slack", "v": sl["v"], "w": sl["w"], "lhs": sl["lhs"],
+              "bound": sl["bound"], "slack": sl["slack"], "seed": args.seed}, out)
+    cf = des_app.closed_form_crosscheck(system, F, W, [x0, final])
     emit({"record": "closed_form", "matches": cf.ok,
           "mismatches": len(cf.violations), "seed": args.seed}, out)
 
 
-def _cmd_paths(kind, loaded, args, out, rng):
-    if kind != "paths":
-        raise InputFormatError(f"field 'kind' must be 'paths' for this command, got {kind!r}")
+def _validate_paths(loaded, args, out, rng) -> None:
+    edges, source, _vertices = loaded
+    emit({"record": "summary", "edges": len(edges), "source": source,
+          "ok": True, "seed": args.seed}, out)
+
+
+def _verify_paths(loaded, args, out, rng) -> bool:
+    edges, source, vertices = loaded
+    want = classic_shortest_paths(edges, source, vertices)
+    ok = True
+    for mode in paths_app.MODES:
+        r = paths_app.shortest_paths(edges, source, mode=mode, vertices=vertices)
+        emit({"record": "mode", "mode": mode,
+              "matches_oracle": r.distances == want,
+              "extractions": r.extractions, "seed": args.seed}, out)
+        ok = ok and r.distances == want
+    emit({"record": "summary", "ok": ok, "seed": args.seed}, out)
+    return ok
+
+
+def _paths(loaded, args, out, rng) -> None:
     edges, source, vertices = loaded
     mode = "dijkstra_schedule" if args.schedule == "dijkstra" else "synchronous"
     r = paths_app.shortest_paths(edges, source, mode=mode, vertices=vertices,
@@ -289,14 +238,28 @@ def _cmd_paths(kind, loaded, args, out, rng):
           "extractions": r.extractions, "source": source, "seed": args.seed}, out)
 
 
-def _cmd_prefs(kind, loaded, args, out, rng):
-    if kind != "prefs":
-        raise InputFormatError(f"field 'kind' must be 'prefs' for this command, got {kind!r}")
-    data = loaded
-    Q = data["quantale"]
-    _apply_tolerance(Q, args.tolerance)
-    cat = data["category"]
-    graph = data["graph"]
+def _validate_prefs(data, args, out, rng) -> None:
+    for v in data["graph"].vertices:
+        emit({"record": "relation_ok", "vertex": v, "seed": args.seed}, out)
+    emit({"record": "summary", "vertices": len(data["graph"].vertices),
+          "ok": True, "seed": args.seed}, out)
+
+
+def _verify_prefs(data, args, out, rng) -> bool:
+    ops = data["category"].analytic_lattice_ops()
+    ok = True
+    for v in data["graph"].vertices:
+        rel = data["initial"][v]
+        joined = ops.crisp_join([rel, rel])
+        emit({"record": "closure_idempotent", "vertex": v,
+              "ok": joined == rel, "seed": args.seed}, out)
+        ok = ok and joined == rel
+    emit({"record": "summary", "ok": ok, "seed": args.seed}, out)
+    return ok
+
+
+def _prefs(data, args, out, rng) -> None:
+    Q, cat, graph = data["quantale"], data["category"], data["graph"]
     F = constant_sheaf(graph, Q, AnalyticLattice(cat, cat.analytic_lattice_ops()))
     schedule = None
     if data["eps"] is not None:
@@ -314,15 +277,33 @@ def _cmd_prefs(kind, loaded, args, out, rng):
           "seed": args.seed}, out)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "flow": _cmd_flow,
-    "sections": _cmd_sections,
-    "verify": _cmd_verify,
-    "des": _cmd_des,
-    "paths": _cmd_paths,
-    "prefs": _cmd_prefs,
+def _same(x):
+    return x
+
+
+_SHEAF_COMMANDS = {"validate": _validate_sheaf, "verify": _verify_sheaf,
+                   "flow": _flow, "sections": _sections}
+
+# input kind -> (loaded input -> the subject its commands take,
+#                subject -> the quantale --tolerance overrides, or None,
+#                subcommand -> command)
+_KINDS = {
+    "quantale": (_same, _same, {"validate": _quantale_laws, "verify": _verify_quantale}),
+    "category": (_same, lambda C: C.quantale,
+                 {"validate": _category_laws, "verify": _category_laws}),
+    "sheaf": (lambda loaded: (*loaded, None), lambda s: s[0].quantale, _SHEAF_COMMANDS),
+    "des": (lambda system: (*des_app.des_sheaf(system), system.initial, system),
+            lambda s: s[0].quantale, {**_SHEAF_COMMANDS, "des": _des}),
+    "paths": (_same, None, {"validate": _validate_paths, "verify": _verify_paths,
+                            "paths": _paths}),
+    "prefs": (_same, lambda data: data["quantale"],
+              {"validate": _validate_prefs, "verify": _verify_prefs, "prefs": _prefs}),
 }
+
+
+def _input_error(message) -> int:
+    print(f"sheafflow: input error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -330,21 +311,32 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     try:
         kind, loaded = load_input(args.input)
+        prepare, quantale_of, commands = _KINDS[kind]
+        if args.command not in commands:
+            accepted = " or ".join(repr(k) for k, spec in _KINDS.items() if args.command in spec[2])
+            raise InputFormatError(
+                f"field 'kind' must be {accepted} for this command, got {kind!r}")
+        subject = prepare(loaded)
     except InputFormatError as exc:
-        print(f"sheafflow: input error: {exc}", file=sys.stderr)
-        return 2
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        return _input_error(exc)
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and quantale_of is not None:
+        quantale_of(subject).tolerance = tolerance
     try:
-        _COMMANDS[args.command](kind, loaded, args, out, rng)
-    except InputFormatError as exc:
-        print(f"sheafflow: input error: {exc}", file=sys.stderr)
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"sheafflow: cannot write --output: {exc}", file=sys.stderr)
         return 2
-    except _Failure:
-        return 1
+    try:
+        passed = commands[args.command](subject, args, out, rng)
+    except InputFormatError as exc:
+        return _input_error(exc)
+    except NoSuchObject as exc:
+        return _input_error(f"field 'stalks' holds a stalk that is not a weighted lattice: {exc}")
     finally:
         if args.output:
             out.close()
-    return 0
+    return 1 if passed is False else 0
 
 
 if __name__ == "__main__":

@@ -2,18 +2,20 @@
 
 Input files are a single JSON object with a "kind" field selecting the
 payload shape: quantale, category, sheaf, des, paths, or prefs.  Infinite
-costs serialize as the string "inf".  Output records are emitted one JSON
-object per line with sorted keys so runs with the same seed are
-byte-identical.
+costs serialize as the string "inf".  Each shape that recurs across kinds
+(a graph, a per-vertex map, a finite category, a number) has one reader,
+and every reader raises InputFormatError naming the field.  Output records
+are emitted one JSON object per line with sorted keys so runs with the same
+seed are byte-identical.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, IO, Mapping
+from typing import Any, Callable, IO, Mapping
 
 from .apps.des import DesSystem, minplus_transpose_apply, maxplus_apply, _sub_clipped
-from .apps.prefs import PreferenceCategory, check_relation, relation_from_table
+from .apps.prefs import PreferenceCategory
 from .qcat import (FiniteQCategory, OppositeCategory, PresheafPower, QCategoryError, QFunctor,
                    UnderlineQ)
 from .quantale import LawvereRealsQuantale, Quantale, QuantaleError, from_descriptor
@@ -24,15 +26,6 @@ from .adjunction import synthesize_right_adjoint
 
 class InputFormatError(ValueError):
     """Raised when an input file is malformed; the message names the field."""
-
-
-INPUT_KINDS = ("quantale", "category", "sheaf", "des", "paths", "prefs")
-
-
-def _need(payload: Mapping, field: str, where: str) -> Any:
-    if field not in payload:
-        raise InputFormatError(f"field {field!r} is required in {where}")
-    return payload[field]
 
 
 def decode_value(v: Any) -> Any:
@@ -75,79 +68,168 @@ def emit(record: Mapping, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _check_carrier(Q: Quantale, values, where: str) -> None:
-    """Reject input values outside the carrier; `where` names the field."""
+# -- readers: `where` names the field, e.g. "field 'edges'" -------------------
+
+def _need(payload: Mapping, field: str, where: str) -> Any:
+    if field not in payload:
+        raise InputFormatError(f"field {field!r} is required in {where}")
+    return payload[field]
+
+
+def _expect(ok: bool, v: Any, where: str, what: str) -> Any:
+    if not ok:
+        raise InputFormatError(f"{where} must be {what}, got {v!r}")
+    return v
+
+
+def _object(v: Any, where: str) -> dict:
+    return _expect(isinstance(v, dict), v, where, "a JSON object")
+
+
+def _list(v: Any, where: str) -> list:
+    return _expect(isinstance(v, list), v, where, "a list")
+
+
+def _value(v: Any, where: str) -> Any:
+    """A decoded value; it must be hashable, so objects other than {"set": [...]} fail."""
+    try:
+        x = decode_value(v)
+        hash(x)
+    except TypeError:
+        raise InputFormatError(f"{where} must hold numbers, strings, lists or sets, got {v!r}") from None
+    return x
+
+
+def _number(v: Any, where: str, minimum: float = -math.inf) -> float:
+    """A JSON number or "inf", at least `minimum`; NaN fails every comparison."""
+    x = _value(v, where)
+    bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+    _expect(isinstance(x, (int, float)) and not isinstance(x, bool) and x >= minimum,
+            v, where, f"a number{bound}")
+    return float(x)
+
+
+def _integer(v: Any, where: str, minimum: int) -> int:
+    return _expect(isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+                   v, where, f"an integer >= {minimum}")
+
+
+def _name(v: Any, where: str) -> str:
+    return str(_expect(isinstance(v, (str, int, float)) and not isinstance(v, bool),
+                       v, where, "a name"))
+
+
+def _tuples(v: Any, where: str, shape: str) -> list[list]:
+    """A list of fixed-length lists; `shape` documents the form, e.g. "[v, w]"."""
+    arity = shape.count(",") + 1
+    return [_expect(isinstance(t, list) and len(t) == arity, t, f"{where} entries", f"{shape} lists")
+            for t in _list(v, where)]
+
+
+def _matrix(v: Any, where: str, minimum: float = -math.inf) -> tuple:
+    rows = tuple(tuple(_number(c, where, minimum) for c in _list(row, where))
+                 for row in _list(v, where))
+    _expect(rows and rows[0] and all(len(r) == len(rows[0]) for r in rows),
+            v, where, "a nonempty rectangular matrix")
+    return rows
+
+
+def _in_carrier(Q: Quantale, values: list, where: str) -> list:
     for p in values:
-        if not Q.contains(p):
-            raise InputFormatError(f"{where}: {p!r} is not an element of the {Q.kind} carrier")
+        _expect(Q.contains(p), p, where, f"an element of the {Q.kind} carrier")
+    return values
 
 
-def _finite_category(Q: Quantale, objects, hom, field: str) -> FiniteQCategory:
+def _graph(payload: Mapping, where: str) -> Graph:
+    vertices = [_name(v, "field 'vertices'") for v in _list(_need(payload, "vertices", where),
+                                                             "field 'vertices'")]
+    _expect(len(set(vertices)) == len(vertices), vertices, "field 'vertices'", "distinct names")
+    edges = [(_name(v, "field 'edges'"), _name(w, "field 'edges'"))
+             for v, w in _tuples(_need(payload, "edges", where), "field 'edges'", "[v, w]")]
+    try:
+        return Graph.build(vertices, edges)
+    except SheafError as exc:
+        raise InputFormatError(f"field 'edges' is invalid: {exc}") from exc
+
+
+def _per_vertex(raw: Any, field: str, vertices, read: Callable[[Any, str], Any]) -> dict:
+    """An object with exactly one entry per vertex, each converted by read(value, where)."""
+    raw = _object(raw, f"field {field!r}")
+    _expect(set(raw) == set(vertices), sorted(raw), f"field {field!r}",
+            f"keyed by exactly the vertices {list(vertices)}")
+    return {v: read(raw[v], f"field {field!r} at vertex {v!r}") for v in vertices}
+
+
+def _finite_category(Q: Quantale, desc: Any, field: str) -> FiniteQCategory:
+    """{objects, hom}: an object list and a square hom matrix over it."""
+    where = f"field {field!r}"
+    desc = _object(desc, where)
+    objects = [_value(x, where) for x in _list(_need(desc, "objects", where), where)]
+    hom = [[_value(h, where) for h in _list(row, where)]
+           for row in _list(_need(desc, "hom", where), where)]
     try:
         return FiniteQCategory(Q, objects, hom)
     except (QCategoryError, QuantaleError) as exc:
-        raise InputFormatError(f"field {field!r} is invalid: {exc}") from exc
+        raise InputFormatError(f"{where} is invalid: {exc}") from exc
 
+
+# -- input kinds ---------------------------------------------------------------
 
 def load_quantale(payload: Mapping) -> Quantale:
+    desc = _object(_need(payload, "quantale", "this input"), "field 'quantale'")
     try:
-        return from_descriptor(dict(_need(payload, "quantale", "this input")))
-    except QuantaleError as exc:
+        return from_descriptor(desc)
+    except (QuantaleError, TypeError) as exc:
         raise InputFormatError(f"field 'quantale' is invalid: {exc}") from exc
 
 
-def build_stalk(Q: Quantale, desc: Mapping):
+def build_stalk(Q: Quantale, desc: Any):
     """Stalk descriptor -> lattice.  Kinds: underline, underline_op,
     presheaf_power (fields m, op), finite (fields objects, hom)."""
+    desc = _object(desc, "field 'stalks'")
     kind = _need(desc, "kind", "stalk descriptor")
     if kind == "underline":
         return lattice_for(UnderlineQ(Q))
     if kind == "underline_op":
         return lattice_for(OppositeCategory(UnderlineQ(Q)))
     if kind == "presheaf_power":
-        m = _need(desc, "m", "presheaf_power stalk")
+        m = _integer(_need(desc, "m", "presheaf_power stalk"), "field 'stalks', 'm'", 1)
         return lattice_for(PresheafPower(Q, m, op=bool(desc.get("op", False))))
     if kind == "finite":
-        objects = [decode_value(x) for x in _need(desc, "objects", "finite stalk")]
-        hom = [[decode_value(h) for h in row] for row in _need(desc, "hom", "finite stalk")]
-        return lattice_for(_finite_category(Q, objects, hom, "stalks"), prefer="enumerable")
+        return lattice_for(_finite_category(Q, desc, "stalks"))
     raise InputFormatError(f"field 'kind' of a stalk descriptor has unknown value {kind!r}")
 
 
-def _build_map(desc: Mapping, dom, cod, name: str, field: str) -> QFunctor:
+def _build_map(desc: Any, dom, cod, name: str, field: str) -> QFunctor:
     """Map descriptor -> functor; its constants must lie in the carrier and a
     table's targets in the target stalk."""
-    kind = _need(desc, "kind", f"map descriptor {name}")
     where = f"field {field!r} at {name!r}"
+    desc = _object(desc, where)
+    kind = _need(desc, "kind", f"map descriptor {name}")
     if kind == "identity":
         return QFunctor(dom.category, cod.category, lambda x: x, name=f"id[{name}]")
     if kind in ("affine_shift", "affine_unshift"):
-        c = float(decode_value(_need(desc, "c", f"{kind} map")))
-        _check_carrier(cod.quantale, [c], f"{where}, 'c'")
+        c = _number(_need(desc, "c", f"{kind} map"), f"{where}, 'c'")
+        _in_carrier(cod.quantale, [c], f"{where}, 'c'")
         if kind == "affine_shift":
             return QFunctor(dom.category, cod.category, lambda x, c=c: x + c, name=f"shift{c}[{name}]")
         return QFunctor(dom.category, cod.category, lambda y, c=c: _sub_clipped(y, c),
                         name=f"unshift{c}[{name}]")
     if kind in ("max_plus", "min_plus_transpose"):
-        A = _decode_matrix(_need(desc, "delays", f"{kind} map"))
-        _check_carrier(cod.quantale, [a for row in A for a in row], f"{where}, 'delays'")
+        A = _matrix(_need(desc, "delays", f"{kind} map"), f"{where}, 'delays'")
+        _in_carrier(cod.quantale, [a for row in A for a in row], f"{where}, 'delays'")
         if kind == "max_plus":
             return QFunctor(dom.category, cod.category, lambda x, A=A: maxplus_apply(A, x),
                             name=f"maxplus[{name}]")
         return QFunctor(dom.category, cod.category,
                         lambda y, A=A: minplus_transpose_apply(A, y), name=f"minplusT[{name}]")
     if kind == "table":
-        pairs = _need(desc, "pairs", "table map")
-        mapping = {decode_value(a): decode_value(b) for a, b in pairs}
+        pairs = _tuples(_need(desc, "pairs", "table map"), where, "[x, y]")
+        mapping = {_value(a, where): _value(b, where) for a, b in pairs}
         for b in mapping.values():
-            if not cod.category.has_object(b):
-                raise InputFormatError(f"{where}: table target {b!r} is not an object of its stalk")
+            _expect(cod.category.has_object(b), b, f"{where}, a table target", "an object of its stalk")
         return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
     raise InputFormatError(f"field 'kind' of map descriptor {name} has unknown value {kind!r}")
-
-
-def _decode_matrix(rows) -> tuple:
-    return tuple(tuple(float(decode_value(c)) for c in row) for row in rows)
 
 
 _RIGHT_ADJOINT_KIND = {"identity": "identity", "affine_shift": "affine_unshift",
@@ -161,7 +243,11 @@ def derive_corestriction(desc: Mapping, rest: QFunctor, edge_lat, vertex_lat, na
         return _build_map({**desc, "kind": _RIGHT_ADJOINT_KIND[kind]}, edge_lat, vertex_lat,
                           name, "restrictions")
     if kind == "table":
-        res = synthesize_right_adjoint(rest)
+        try:
+            res = synthesize_right_adjoint(rest)
+        except QCategoryError as exc:
+            raise InputFormatError(
+                f"field 'restrictions' at {name!r}: cannot derive its right adjoint: {exc}") from exc
         return QFunctor(edge_lat.category, vertex_lat.category,
                         {y: res.right(y) for y in edge_lat.objects()}, name=f"radj[{name}]")
     raise InputFormatError(
@@ -179,13 +265,14 @@ def load_weighting(payload: Mapping, graph: Graph, Q: Quantale, where: str) -> W
     desc = payload.get("weighting")
     if desc is None:
         return Weighting(graph, Q)
+    field = "field 'weighting'"
+    desc = _object(desc, field)
     try:
         if "constant" in desc:
-            return Weighting(graph, Q, constant=decode_value(desc["constant"]))
+            return Weighting(graph, Q, constant=_value(desc["constant"], field))
         if "pairs" in desc:
-            table = {}
-            for v, w, val in desc["pairs"]:
-                table[(v, w)] = decode_value(val)
+            table = {(_name(v, field), _name(w, field)): _value(val, field)
+                     for v, w, val in _tuples(desc["pairs"], field, "[v, w, value]")}
             for v, w, _e in graph.adjacent_pairs():
                 if (v, w) not in table and (w, v) in table:
                     table[(v, w)] = table[(w, v)]
@@ -198,35 +285,27 @@ def load_weighting(payload: Mapping, graph: Graph, Q: Quantale, where: str) -> W
 def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
     """Sheaf input -> (sheaf, weighting, initial cochain or None)."""
     Q = load_quantale(payload)
-    vertices = [str(v) for v in _need(payload, "vertices", "sheaf input")]
-    edges = [tuple(e) for e in _need(payload, "edges", "sheaf input")]
-    try:
-        graph = Graph.build(vertices, edges)
-    except SheafError as exc:
-        raise InputFormatError(f"field 'edges' is invalid: {exc}") from exc
+    graph = _graph(payload, "sheaf input")
 
     default_stalk = payload.get("stalk")
-    stalks = payload.get("stalks", {})
-    vertex_lats, edge_lats = {}, {}
-    for v in graph.vertices:
-        desc = stalks.get(v, default_stalk)
-        if desc is None:
-            raise InputFormatError(f"field 'stalks' is missing vertex {v!r} and no 'stalk' default given")
-        vertex_lats[v] = build_stalk(Q, desc)
-    for e in graph.edges:
-        desc = stalks.get(_edge_key(e), default_stalk)
-        if desc is None:
-            raise InputFormatError(f"field 'stalks' is missing edge {_edge_key(e)!r} and no 'stalk' default given")
-        edge_lats[e] = build_stalk(Q, desc)
+    stalks = _object(payload.get("stalks", {}), "field 'stalks'")
 
-    rest_desc = _need(payload, "restrictions", "sheaf input")
-    corest_desc = payload.get("corestrictions", {})
+    def stalk(key):
+        desc = stalks.get(key, default_stalk)
+        if desc is None:
+            raise InputFormatError(f"field 'stalks' is missing {key!r} and no 'stalk' default given")
+        return build_stalk(Q, desc)
+
+    vertex_lats = {v: stalk(v) for v in graph.vertices}
+    edge_lats = {e: stalk(_edge_key(e)) for e in graph.edges}
+
+    rest_desc = _object(_need(payload, "restrictions", "sheaf input"), "field 'restrictions'")
+    corest_desc = _object(payload.get("corestrictions", {}), "field 'corestrictions'")
     restrictions, corestrictions = {}, {}
     for e in graph.edges:
         for v in e:
             key = f"{v}|{_edge_key(e)}"
-            if key not in rest_desc:
-                raise InputFormatError(f"field 'restrictions' is missing incidence {key!r}")
+            _need(rest_desc, key, "field 'restrictions'")
             restrictions[(v, e)] = _build_map(
                 rest_desc[key], vertex_lats[v], edge_lats[e], key, "restrictions")
             if key in corest_desc:
@@ -243,113 +322,85 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
     W = load_weighting(payload, graph, Q, "sheaf input")
     initial = payload.get("initial")
     if initial is not None:
-        initial = {v: decode_value(initial[v]) for v in initial}
-        missing = set(graph.vertices) - set(initial)
-        if missing:
-            raise InputFormatError(f"field 'initial' is missing vertices {sorted(missing)}")
-        unknown = set(initial) - set(graph.vertices)
-        if unknown:
-            raise InputFormatError(f"field 'initial' names unknown vertices {sorted(unknown)}")
-        for v in graph.vertices:
-            if not vertex_lats[v].category.has_object(initial[v]):
-                raise InputFormatError(
-                    f"field 'initial' at vertex {v!r}: {initial[v]!r} is not an object of its stalk")
+        initial = _per_vertex(initial, "initial", graph.vertices, _value)
+        for v, x in initial.items():
+            _expect(vertex_lats[v].category.has_object(x), x, f"field 'initial' at vertex {v!r}",
+                    "an object of its stalk")
     return F, W, initial
 
 
 def load_des(payload: Mapping) -> DesSystem:
-    m = int(_need(payload, "m", "des input"))
-    vertices = [str(v) for v in _need(payload, "vertices", "des input")]
-    edges = [tuple(e) for e in _need(payload, "edges", "des input")]
-    try:
-        graph = Graph.build(vertices, edges)
-    except SheafError as exc:
-        raise InputFormatError(f"field 'edges' is invalid: {exc}") from exc
-    delays_raw = _need(payload, "delays", "des input")
-    delays = {}
-    for v in graph.vertices:
-        if v not in delays_raw:
-            raise InputFormatError(f"field 'delays' is missing vertex {v!r}")
-        delays[v] = _decode_matrix(delays_raw[v])
-    R = LawvereRealsQuantale()
-    weights = None
-    if "weighting" in payload:
-        W = load_weighting(payload, graph, R, "des input")
-        weights = dict(W.table)
+    m = _integer(_need(payload, "m", "des input"), "field 'm'", 1)
+    graph = _graph(payload, "des input")
+    delays = _per_vertex(_need(payload, "delays", "des input"), "delays", graph.vertices,
+                         lambda raw, where: _matrix(raw, where, minimum=0))
+    weights = (dict(load_weighting(payload, graph, LawvereRealsQuantale(), "des input").table)
+               if "weighting" in payload else None)
     try:
         sys_ = DesSystem(m=m, delays=delays, graph=graph, weights=weights)
     except ValueError as exc:
         raise InputFormatError(f"field 'delays' is invalid: {exc}") from exc
-    if "initial" in payload:
-        initial = {}
-        for v in graph.vertices:
-            if v not in payload["initial"]:
-                raise InputFormatError(f"field 'initial' is missing vertex {v!r}")
-            vec = tuple(float(decode_value(c)) for c in payload["initial"][v])
-            if len(vec) != m:
-                raise InputFormatError(f"field 'initial' at {v!r} must have {m} entries")
-            _check_carrier(R, vec, f"field 'initial' at {v!r}")
-            initial[v] = vec
-        sys_.initial = initial
+
+    def timing(raw, where):
+        vec = tuple(_number(c, where, minimum=0) for c in _list(raw, where))
+        return _expect(len(vec) == m, vec, where, f"{m} times")
+
+    sys_.initial = (_per_vertex(payload["initial"], "initial", graph.vertices, timing)
+                    if "initial" in payload else {v: (0.0,) * m for v in graph.vertices})
     return sys_
 
 
 def load_paths(payload: Mapping) -> tuple[list, Any, list | None]:
-    edges = []
-    for item in _need(payload, "edges", "paths input"):
-        if len(item) != 3:
-            raise InputFormatError("field 'edges' entries must be [u, v, weight] triples")
-        u, v, w = item
-        edges.append((str(u), str(v), float(decode_value(w))))
-    source = str(_need(payload, "source", "paths input"))
+    where = "field 'edges'"
+    edges = [(_name(u, where), _name(v, where), _number(w, where, minimum=0))
+             for u, v, w in _tuples(_need(payload, "edges", "paths input"), where, "[u, v, length]")]
+    pairs = [frozenset(e[:2]) for e in edges]
+    _expect(all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs), edges, where,
+            "edges between two distinct vertices, each given once")
+    source = _name(_need(payload, "source", "paths input"), "field 'source'")
     vertices = payload.get("vertices")
     if vertices is not None:
-        vertices = [str(v) for v in vertices]
-    if source not in {x for e in edges for x in e[:2]}.union(vertices or ()):
-        raise InputFormatError(f"field 'source' names an unknown vertex {source!r}")
+        vertices = [_name(v, "field 'vertices'") for v in _list(vertices, "field 'vertices'")]
+    _expect(source in {x for e in edges for x in e[:2]}.union(vertices or ()), source,
+            "field 'source'", "a vertex")
     return edges, source, vertices
 
 
 def load_prefs(payload: Mapping) -> dict:
     Q = load_quantale(payload)
-    alternatives = [str(a) for a in _need(payload, "alternatives", "prefs input")]
-    cat = PreferenceCategory(Q, alternatives)
-    vertices = [str(v) for v in _need(payload, "vertices", "prefs input")]
-    edges = [tuple(e) for e in _need(payload, "edges", "prefs input")]
+    alternatives = [_name(a, "field 'alternatives'")
+                    for a in _list(_need(payload, "alternatives", "prefs input"), "field 'alternatives'")]
     try:
-        graph = Graph.build(vertices, edges)
-    except SheafError as exc:
-        raise InputFormatError(f"field 'edges' is invalid: {exc}") from exc
-    initial_raw = _need(payload, "initial", "prefs input")
-    initial = {}
-    for v in graph.vertices:
-        if v not in initial_raw:
-            raise InputFormatError(f"field 'initial' is missing vertex {v!r}")
-        rel = relation_from_table(alternatives, [
-            [decode_value(c) for c in row] for row in initial_raw[v]])
-        if len(rel) != cat.n or any(len(row) != cat.n for row in rel):
-            raise InputFormatError(f"field 'initial' at vertex {v!r} must be a {cat.n}x{cat.n} matrix")
-        try:
-            check_relation(Q, rel)
-        except Exception as exc:
-            raise InputFormatError(f"field 'initial' at vertex {v!r} is invalid: {exc}") from exc
-        initial[v] = rel
+        cat = PreferenceCategory(Q, alternatives)
+    except QCategoryError as exc:
+        raise InputFormatError(f"field 'alternatives' is invalid: {exc}") from exc
+    graph = _graph(payload, "prefs input")
+
+    def relation(raw, where):
+        rel = tuple(tuple(_value(c, where) for c in _list(row, where)) for row in _list(raw, where))
+        return _expect(cat.has_object(rel), rel, where,
+                       f"a reflexive, transitive {cat.n}x{cat.n} {Q.kind} relation")
+
+    initial = _per_vertex(_need(payload, "initial", "prefs input"), "initial", graph.vertices,
+                          relation)
     eps = None
     if "eps" in payload:
         if "weighting" in payload:
             raise InputFormatError(
                 "field 'weighting' cannot be combined with 'eps': the bounded-confidence "
                 "schedule replaces the weighting on every step")
-        eps = {}
-        for v in graph.vertices:
-            if v not in payload["eps"]:
-                raise InputFormatError(f"field 'eps' is missing vertex {v!r}")
-            eps[v] = decode_value(payload["eps"][v])
-            _check_carrier(Q, [eps[v]], f"field 'eps' at vertex {v!r}")
+        eps = _per_vertex(payload["eps"], "eps", graph.vertices,
+                          lambda raw, where: _in_carrier(Q, [_value(raw, where)], where)[0])
     return {
         "quantale": Q, "category": cat, "graph": graph, "initial": initial, "eps": eps,
         "weighting": load_weighting(payload, graph, Q, "prefs input"),
     }
+
+
+_LOADERS = {"quantale": load_quantale, "sheaf": load_sheaf, "des": load_des,
+            "paths": load_paths, "prefs": load_prefs,
+            "category": lambda payload: _finite_category(
+                load_quantale(payload), _need(payload, "category", "category input"), "category")}
 
 
 def load_input(path: str) -> tuple[str, Any]:
@@ -362,22 +413,7 @@ def load_input(path: str) -> tuple[str, Any]:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise InputFormatError("input must be a JSON object with a 'kind' field")
+        raise InputFormatError("input must be a JSON object with field 'kind'")
     kind = _need(payload, "kind", "the input file")
-    if kind == "quantale":
-        return kind, load_quantale(payload)
-    if kind == "category":
-        Q = load_quantale(payload)
-        cat_payload = _need(payload, "category", "category input")
-        objects = [decode_value(x) for x in _need(cat_payload, "objects", "category input")]
-        hom = [[decode_value(h) for h in row] for row in _need(cat_payload, "hom", "category input")]
-        return kind, _finite_category(Q, objects, hom, "category")
-    if kind == "sheaf":
-        return kind, load_sheaf(payload)
-    if kind == "des":
-        return kind, load_des(payload)
-    if kind == "paths":
-        return kind, load_paths(payload)
-    if kind == "prefs":
-        return kind, load_prefs(payload)
-    raise InputFormatError(f"field 'kind' has unknown value {kind!r}; expected one of {INPUT_KINDS}")
+    _expect(kind in tuple(_LOADERS), kind, "field 'kind'", f"one of {tuple(_LOADERS)}")
+    return kind, _LOADERS[kind](payload)

@@ -41,11 +41,8 @@ def prefix_points(query: FixpointQuery) -> list:
 
 
 def stable_points(query: FixpointQuery) -> list:
-    L, E, Q = query.lattice, query.endo, query.lattice.quantale
-    return [
-        x for x in L.objects()
-        if Q.leq(query.q, L.hom(x, E(x))) and Q.leq(query.p, L.hom(E(x), x))
-    ]
+    prefix = prefix_points(query)
+    return [x for x in suffix_points(query) if x in prefix]
 
 
 def _random_diagram(rng: Random, members: list, Q) -> WeightedDiagram:
@@ -58,21 +55,8 @@ def _random_diagram(rng: Random, members: list, Q) -> WeightedDiagram:
 def _subset_weighted_bound(L: WeightedLattice, members: list, D: WeightedDiagram, kind: str):
     """Exhaustive universal-property search inside the full subcategory."""
     Q = L.quantale
-    for c in sorted(members, key=object_sort_key):
-        good = True
-        for x in members:
-            if kind == "meet":
-                lhs = L.hom(x, c)
-                rhs = Q.meet(Q.hom(w, L.hom(x, s)) for s, w in D.pairs())
-            else:
-                lhs = L.hom(c, x)
-                rhs = Q.meet(Q.hom(w, L.hom(s, x)) for s, w in D.pairs())
-            if not Q.eq(lhs, rhs):
-                good = False
-                break
-        if good:
-            return c
-    return None
+    scan = L.universal_scan(D, kind, sorted(members, key=object_sort_key), members)
+    return next((c for c, sides in scan if all(Q.eq(lhs, rhs) for _x, lhs, rhs in sides)), None)
 
 
 def verify_tarski(query: FixpointQuery, seed: int = 0, diagrams: int = 10) -> LawReport:

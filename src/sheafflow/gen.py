@@ -86,14 +86,9 @@ def random_diagram(rng: Random, L, max_size: int = 4) -> WeightedDiagram:
     )
 
 
-def _crisp_meet2(L, a, b):
+def _unit_pair(L, a, b) -> WeightedDiagram:
     Q = L.category.quantale
-    return L.weighted_meet(WeightedDiagram.of([(a, Q.unit), (b, Q.unit)]))
-
-
-def _crisp_join2(L, a, b):
-    Q = L.category.quantale
-    return L.weighted_join(WeightedDiagram.of([(a, Q.unit), (b, Q.unit)]))
+    return WeightedDiagram.of([(a, Q.unit), (b, Q.unit)])
 
 
 def random_monotone_endofunctor(rng: Random, L) -> QFunctor:
@@ -108,9 +103,11 @@ def random_monotone_endofunctor(rng: Random, L) -> QFunctor:
     a = objs[rng.randrange(len(objs))]
     style = rng.randrange(4)
     if style == 0:
-        return QFunctor(C, C, {x: _crisp_meet2(L, x, a) for x in objs}, name="meet-with")
+        return QFunctor(C, C, {x: L.weighted_meet(_unit_pair(L, x, a)) for x in objs},
+                        name="meet-with")
     if style == 1:
-        return QFunctor(C, C, {x: _crisp_join2(L, x, a) for x in objs}, name="join-with")
+        return QFunctor(C, C, {x: L.weighted_join(_unit_pair(L, x, a)) for x in objs},
+                        name="join-with")
     if style == 2:
         return QFunctor(C, C, {x: a for x in objs}, name="constant")
     return QFunctor(C, C, {x: x for x in objs}, name="identity")

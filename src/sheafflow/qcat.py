@@ -110,16 +110,6 @@ class FiniteQCategory(QCategory):
     def hom(self, x, y):
         return self._hom[self._index[x]][self._index[y]]
 
-    def to_payload(self) -> dict:
-        return {"objects": list(self._objects), "hom": [list(r) for r in self._hom]}
-
-    @classmethod
-    def from_payload(cls, quantale: Quantale, payload: dict) -> "FiniteQCategory":
-        for field in ("objects", "hom"):
-            if field not in payload:
-                raise QCategoryError(f"category payload requires field {field!r}")
-        return cls(quantale, payload["objects"], payload["hom"])
-
     def __repr__(self):
         return f"FiniteQCategory({len(self._objects)} objects, {self.quantale.kind})"
 
@@ -268,20 +258,15 @@ class QFunctor:
         return QFunctor(inner.domain, self.codomain, lambda x: self(inner(x)),
                         name=f"{self.name}.{inner.name}")
 
-    def to_payload(self) -> dict:
-        if not isinstance(self._mapping, Mapping):
-            raise QCategoryError("only table functors serialize")
-        return {"map": dict(self._mapping)}
-
     def __repr__(self):
         return f"QFunctor({self.name})"
 
 
-def validate_category(C: QCategory, objects: Iterable[Any] | None = None) -> LawReport:
-    """Check unit and composition laws, exhaustively or on a given object list."""
+def validate_category(C: QCategory) -> LawReport:
+    """Check unit and composition laws exhaustively."""
     rep = LawReport(title="category laws")
     Q = C.quantale
-    obs = list(objects) if objects is not None else C.objects()
+    obs = C.objects()
     for x in obs:
         rep.check("hom-unit", Q.leq(Q.unit, C.hom(x, x)), x,
                   f"hom(x,x)={C.hom(x, x)!r}")
@@ -292,13 +277,6 @@ def validate_category(C: QCategory, objects: Iterable[Any] | None = None) -> Law
     return rep
 
 
-def underlying_preorder(C: QCategory, objects: Iterable[Any] | None = None) -> set[tuple]:
-    """Pairs (x, y) with hom(x, y) at the unit: the level-1 order."""
-    Q = C.quantale
-    obs = list(objects) if objects is not None else C.objects()
-    return {(x, y) for x in obs for y in obs if Q.leq(Q.unit, C.hom(x, y))}
-
-
 def opposite(C: QCategory) -> QCategory:
     if isinstance(C, OppositeCategory):
         return C.base
@@ -306,19 +284,6 @@ def opposite(C: QCategory) -> QCategory:
         obs = C.objects()
         return FiniteQCategory(C.quantale, obs, {(x, y): C.hom(y, x) for x in obs for y in obs})
     return OppositeCategory(C)
-
-
-def product(factors: Iterable[QCategory]) -> ProductCategory:
-    return ProductCategory(factors)
-
-
-def functor_category_hom(F: QFunctor, G: QFunctor, sample: Iterable[Any] | None = None) -> Any:
-    """hom in the functor category: meet over objects of hom(Fx, Gx)."""
-    if F.domain is not G.domain and F.domain != G.domain:
-        raise QCategoryError("functors must share a domain")
-    cod = F.codomain
-    obs = list(sample) if sample is not None else F.domain.objects()
-    return cod.quantale.meet(cod.hom(F(x), G(x)) for x in obs)
 
 
 def functor_defect(F: QFunctor, sample: Iterable[tuple] | None = None) -> Any:

@@ -38,23 +38,9 @@ class LawReport:
             self.violations.append(Violation(law, witness, detail))
         return passed
 
-    def merge(self, other: "LawReport") -> "LawReport":
-        self.checks += other.checks
-        self.violations.extend(other.violations)
-        return self
-
-    def worst(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
-
     def summary(self) -> str:
         head = f"{self.title}: " if self.title else ""
         if self.ok:
             return f"{head}ok ({self.checks} checks)"
         return f"{head}{len(self.violations)} violation(s) in {self.checks} checks; first: {self.violations[0]}"
 
-    def lines(self) -> list[str]:
-        out = [self.summary()]
-        out.extend(f"  FAIL {v}" for v in self.violations[:20])
-        if len(self.violations) > 20:
-            out.append(f"  ... {len(self.violations) - 20} more")
-        return out

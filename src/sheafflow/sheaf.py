@@ -19,6 +19,7 @@ from itertools import product as iproduct
 from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
+from .adjunction import adjunction_defect
 from .qcat import FiniteQCategory, QCategoryError, QFunctor, object_sort_key
 from .quantale import LawvereRealsQuantale, Quantale
 from .report import LawReport
@@ -59,12 +60,6 @@ class Graph:
             out.append(key)
         vs_sorted = tuple(sorted(vs, key=object_sort_key))
         return cls(vs_sorted, tuple(sorted(out, key=lambda e: (object_sort_key(e[0]), object_sort_key(e[1])))))
-
-    def edge_between(self, v, w):
-        key = tuple(sorted((v, w), key=object_sort_key))
-        if key not in self.edges:
-            raise SheafError(f"no edge between {v!r} and {w!r}")
-        return key
 
     def neighbors(self, v) -> list[tuple]:
         """Sorted (neighbor, edge) pairs."""
@@ -120,13 +115,20 @@ class Weighting:
                    for (v, w) in self.table)
 
 
+_LEVEL_SAMPLE_SEED = 7
+_LEVEL_SAMPLE_SIZE = 8
+
+
 class NetworkSheaf:
     """Stalks plus restriction/corestriction transports over a graph.
 
     Adjunction levels per incidence are measured on construction: over all
-    stalk objects when the stalks are enumerable, otherwise over a documented
-    sample whose edge-side objects are images of a vertex-side grid under the
-    incidence's own restriction (the objects a flow actually transports).
+    stalk objects when the stalks are enumerable, otherwise over a sample of
+    8 vertex-side objects per incidence, drawn from one Random(7) shared by
+    all incidences, whose edge-side objects are their images under the
+    incidence's own restriction (the objects a flow actually transports).  A
+    transport that fails on its stalk, or carries an object out of it, raises
+    SheafError.
     """
 
     def __init__(
@@ -137,9 +139,6 @@ class NetworkSheaf:
         edge_lattices: Mapping[Any, WeightedLattice],
         restrictions: Mapping[tuple, QFunctor],
         corestrictions: Mapping[tuple, QFunctor],
-        adjunction_levels: Mapping[tuple, Any] | None = None,
-        sample_seed: int = 7,
-        sample_size: int = 8,
     ):
         self.graph = graph
         self.quantale = quantale
@@ -158,47 +157,31 @@ class NetworkSheaf:
                     raise SheafError(f"missing restriction for incidence ({v!r}, {e!r})")
                 if (e, v) not in self.corestrictions:
                     raise SheafError(f"missing corestriction for incidence ({v!r}, {e!r})")
-        if adjunction_levels is not None:
-            self.adjunction_levels = dict(adjunction_levels)
-            for lvl in self.adjunction_levels.values():
-                quantale.require(lvl)
-        else:
-            self.adjunction_levels = {}
-            rng = Random(sample_seed)
-            for e in graph.edges:
-                for v in e:
-                    self.adjunction_levels[(v, e)] = self._measure_level(v, e, rng, sample_size)
+        self.adjunction_levels = {}
+        rng = Random(_LEVEL_SAMPLE_SEED)
+        for e in graph.edges:
+            for v in e:
+                self.adjunction_levels[(v, e)] = self._measure_level(v, e, rng)
 
-    def _incidence_samples(self, v, e, rng: Random, size: int) -> tuple[list, list]:
-        lat_v = self.vertex_lattices[v]
-        lat_e = self.edge_lattices[e]
-        f = self.restrictions[(v, e)]
-        if lat_v.is_enumerable and lat_e.is_enumerable:
-            return lat_v.objects(), lat_e.objects()
-        xs = [lat_v.sample_object(rng) for _ in range(size)]
-        ys = [f(x) for x in xs]
-        return xs, ys
-
-    def _check_transports(self, v, e, xs: list, ys: list) -> None:
-        """The transports must carry the sample into the stalks; sampled stalks add
-        their top and bottom, whose images bound every monotone image."""
+    def _measure_level(self, v, e, rng: Random):
+        """Adjunction level of one incidence, over all stalk objects or over a
+        sample and its restriction images.  The transports must carry these
+        into the stalks; sampled stalks add their top and bottom, whose images
+        bound every monotone image."""
         lat_v, lat_e = self.vertex_lattices[v], self.edge_lattices[e]
-        if not (lat_v.is_enumerable and lat_e.is_enumerable):
-            xs = [*xs, lat_v.top(), lat_v.bottom()]
-            ys = [*ys, lat_e.top(), lat_e.bottom()]
+        f, g = self.restrictions[(v, e)], self.corestrictions[(e, v)]
         try:
-            lat_e.category.require_object(*map(self.restrictions[(v, e)], xs))
-            lat_v.category.require_object(*map(self.corestrictions[(e, v)], ys))
-        except QCategoryError as exc:
+            if lat_v.is_enumerable and lat_e.is_enumerable:
+                xs, ys, bounds = lat_v.objects(), lat_e.objects(), ((), ())
+            else:
+                xs = [lat_v.sample_object(rng) for _ in range(_LEVEL_SAMPLE_SIZE)]
+                ys = [f(x) for x in xs]
+                bounds = ((lat_v.top(), lat_v.bottom()), (lat_e.top(), lat_e.bottom()))
+            lat_e.category.require_object(*map(f, [*xs, *bounds[0]]))
+            lat_v.category.require_object(*map(g, [*ys, *bounds[1]]))
+        except (TypeError, ValueError) as exc:  # QCategoryError is a ValueError
             raise SheafError(f"transport at incidence ({v!r}, {e!r}) leaves its stalk: {exc}") from None
-
-    def _measure_level(self, v, e, rng: Random, size: int):
-        xs, ys = self._incidence_samples(v, e, rng, size)
-        self._check_transports(v, e, xs, ys)
-        return adjunction_defect_on(
-            self.quantale, self.vertex_lattices[v].category, self.edge_lattices[e].category,
-            self.restrictions[(v, e)], self.corestrictions[(e, v)], xs, ys,
-        )
+        return adjunction_defect_on(self.quantale, lat_v.category, lat_e.category, f, g, xs, ys)
 
     def level(self):
         """Meet of all per-incidence adjunction levels: the Laplacian's fuzziness."""
@@ -232,14 +215,9 @@ def constant_sheaf(graph: Graph, quantale: Quantale, lattice: WeightedLattice) -
 
 
 def adjunction_defect_on(Q, dom, cod, F, G, xs, ys):
-    """Meet over sample pairs of the two-sided transposition residual."""
-    vals = []
-    for x in xs:
-        for y in ys:
-            a = cod.hom(F(x), y)
-            b = dom.hom(x, G(y))
-            vals.append(Q.meet2(Q.hom(a, b), Q.hom(b, a)))
-    return Q.meet(vals)
+    """adjunction_defect of F -| G over the pairs xs x ys; Q, dom and cod must
+    be F's quantale, domain and codomain."""
+    return adjunction_defect(F, G, iproduct(xs, ys))
 
 
 def cochain_hom(F: NetworkSheaf, x: Cochain, y: Cochain):
@@ -259,7 +237,6 @@ class SectionCheck:
     ok: bool
     worst_edge: tuple | None  # (v, w, edge)
     slack: Any                # residual [W(v,w), hom_e] at the worst edge
-    report: LawReport
 
 
 def is_fuzzy_global_section(F: NetworkSheaf, W: Weighting, x: Cochain) -> SectionCheck:
@@ -270,21 +247,24 @@ def is_fuzzy_global_section(F: NetworkSheaf, W: Weighting, x: Cochain) -> Sectio
     """
     Q = F.quantale
     F.check_cochain(x)
-    rep = LawReport(title="fuzzy global section")
-    worst = None
-    for v, w, e in F.graph.adjacent_pairs():
-        h = F.edge_lattices[e].hom(
-            F.restrictions[(v, e)](x[v]), F.restrictions[(w, e)](x[w])
-        )
+    ok, worst = True, None
+    for v, w, e, h in _edge_homs(F, x):
         bound = W(v, w)
         slack = Q.hom(bound, h)
-        rep.check("edge-agreement", Q.leq(bound, h), (v, w, e),
-                  f"hom={h!r} below weight={bound!r}")
+        if not Q.leq(bound, h):
+            ok = False
         if worst is None or Q.leq(slack, worst[1]) and not Q.eq(slack, worst[1]):
             worst = ((v, w, e), slack)
     if worst is None:
-        return SectionCheck(True, None, Q.unit, rep)
-    return SectionCheck(rep.ok, worst[0], worst[1], rep)
+        return SectionCheck(True, None, Q.unit)
+    return SectionCheck(ok, worst[0], worst[1])
+
+
+def _edge_homs(F: NetworkSheaf, x: Cochain) -> list[tuple]:
+    """(v, w, e, hom_e(f_v(x_v), f_w(x_w))) for every ordered adjacent pair."""
+    return [(v, w, e, F.edge_lattices[e].hom(F.restrictions[(v, e)](x[v]),
+                                             F.restrictions[(w, e)](x[w])))
+            for v, w, e in F.graph.adjacent_pairs()]
 
 
 def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], FiniteQCategory]:
@@ -380,20 +360,22 @@ def _magnitude(obj) -> float | None:
     return None
 
 
+_DIVERGENCE_WINDOW = 5
+
+
 def harmonic_flow(
     F: NetworkSheaf, W: Weighting, x0: Cochain, *,
     max_iter: int = 200,
     omega_schedule: Callable[[int, Cochain], tuple] | None = None,
     weight_schedule: Callable[[int, Cochain], Weighting] | None = None,
-    divergence_window: int = 5,
 ) -> FlowTrace:
     """Iterate the damped diffusion update and record the trajectory.
 
     omega_schedule(t, x) -> (omega1, omega2) lets callers freeze or release
     vertices over time; weight_schedule(t, x) recomputes the weighting from
     the current state.  Divergence is only flagged for extended-real stalks:
-    the suffix level must strictly degrade for `divergence_window` straight
-    steps while finite component magnitudes grow.
+    the suffix level must strictly degrade for five straight steps while
+    finite component magnitudes grow.
     """
     Q = F.quantale
     F.check_cochain(x0)
@@ -408,19 +390,17 @@ def harmonic_flow(
         Lx = laplacian(F, Wt, x)
         suffix = cochain_hom(F, x, Lx)
         trace.iterations.append(FlowStep(t, x, suffix))
-        if lawvere and prev_suffix is not None:
+        if lawvere:
             mag = max((m for m in (_magnitude(x[v]) for v in F.graph.vertices) if m is not None),
                       default=None)
-            strictly_worse = Q.leq(suffix, prev_suffix) and not Q.eq(suffix, prev_suffix)
-            growing = mag is not None and prev_mag is not None and mag > prev_mag
-            degrade_run = degrade_run + 1 if (strictly_worse and growing) else 0
+            if prev_suffix is not None:
+                strictly_worse = Q.leq(suffix, prev_suffix) and not Q.eq(suffix, prev_suffix)
+                growing = mag is not None and prev_mag is not None and mag > prev_mag
+                degrade_run = degrade_run + 1 if (strictly_worse and growing) else 0
+                if degrade_run >= _DIVERGENCE_WINDOW:
+                    trace.status = "diverging"
+                    return trace
             prev_mag = mag
-            if degrade_run >= divergence_window:
-                trace.status = "diverging"
-                return trace
-        elif lawvere:
-            prev_mag = max((m for m in (_magnitude(x[v]) for v in F.graph.vertices) if m is not None),
-                           default=None)
         prev_suffix = suffix
         if t == max_iter:
             break
@@ -464,11 +444,7 @@ def check_suffix_section_lemmas(
             )
             rep.check("adjunction-level-premise", Q.leq(eps, d), (v, w, e),
                       f"defect {d!r} at level {eps!r}")
-        homs = {
-            (v, w): F.edge_lattices[e].hom(
-                F.restrictions[(v, e)](x[v]), F.restrictions[(w, e)](x[w]))
-            for v, w, e in F.graph.adjacent_pairs()
-        }
+        homs = {(v, w): h for v, w, _e, h in _edge_homs(F, x)}
         Lx = laplacian(F, W, x)
         sx = cochain_hom(F, x, Lx)
         agree_q = all(Q.leq(Q.mul(W(v, w), q), h) for (v, w), h in homs.items())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .qcat import (
     NotEnumerableError,
@@ -56,15 +56,6 @@ class WeightedDiagram:
 
     def pairs(self):
         return list(zip(self.objects, self.weights))
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "WeightedDiagram":
-        for field in ("S", "W"):
-            if field not in payload:
-                raise QCategoryError(f"diagram payload requires field {field!r}")
-        S, W = payload["S"], payload["W"]
-        S = [tuple(x) if isinstance(x, list) else x for x in S]
-        return cls(tuple(S), tuple(W))
 
 
 class WeightedLattice:
@@ -115,18 +106,36 @@ class WeightedLattice:
     def weighted_meet_via_identity_join(self, D: WeightedDiagram) -> Any:
         """Reconstruct the weighted meet as a weighted join of the identity
         diagram with weights V(x) = meet_c [W(c), hom(x, S(c))]."""
-        Q = self.quantale
-        obs = self.objects()
-        V = WeightedDiagram.of(
-            (x, Q.meet(Q.hom(w, self.hom(x, s)) for s, w in D.pairs())) for x in obs
-        )
-        return self.weighted_join(V)
+        return self.weighted_join(WeightedDiagram.of(self.weight_sides(D, "meet", self.objects())))
 
     def sample_object(self, rng: Random) -> Any:
         raise NotImplementedError
 
     def object_key(self, x) -> str:
         return object_sort_key(x)
+
+    def weight_sides(self, D: WeightedDiagram, kind: str, probes: Iterable) -> list[tuple]:
+        """(x, weight side) for each probe x: meet_c [W(c), hom(x, S(c))] for a
+        meet and meet_c [W(c), hom(S(c), x)] for a join."""
+        if kind not in ("meet", "join"):
+            raise QCategoryError(f"kind must be 'meet' or 'join', got {kind!r}")
+        Q, hom = self.quantale, self.hom if kind == "meet" else (lambda x, s: self.hom(s, x))
+        return [(x, Q.meet(Q.hom(w, hom(x, s)) for s, w in D.pairs())) for x in probes]
+
+    def universal_scan(self, D: WeightedDiagram, kind: str, candidates: Iterable,
+                       probes: Iterable) -> Iterator[tuple[Any, Iterator[tuple]]]:
+        """Both sides of the weighted-`kind` universal property at each candidate
+        c over the probes: yields (c, lazy (x, hom side, weight side) per probe),
+        where the hom side is hom(x, c) for a meet and hom(c, x) for a join."""
+        sides = self.weight_sides(D, kind, probes)
+        hom = self.hom if kind == "join" else (lambda c, x: self.hom(x, c))
+
+        def compare(c):
+            for x, rhs in sides:
+                yield x, hom(c, x), rhs
+
+        for c in candidates:
+            yield c, compare(c)
 
     def verify_universal_property(
         self, D: WeightedDiagram, candidate: Any, kind: str = "meet",
@@ -137,16 +146,9 @@ class WeightedLattice:
         Q = self.quantale
         rep = LawReport(title=f"weighted-{kind} universal property")
         obs = list(probes) if probes is not None else self.objects()
+        [(_c, sides)] = self.universal_scan(D, kind, [candidate], obs)
         worst = None
-        for x in obs:
-            if kind == "meet":
-                lhs = self.hom(x, candidate)
-                rhs = Q.meet(Q.hom(w, self.hom(x, s)) for s, w in D.pairs())
-            elif kind == "join":
-                lhs = self.hom(candidate, x)
-                rhs = Q.meet(Q.hom(w, self.hom(s, x)) for s, w in D.pairs())
-            else:
-                raise QCategoryError(f"kind must be 'meet' or 'join', got {kind!r}")
+        for x, lhs, rhs in sides:
             if not rep.check(f"weighted-{kind}-up", Q.eq(lhs, rhs), x,
                              f"hom side {lhs!r} vs weight side {rhs!r}"):
                 gap = Q.gap(lhs, rhs)
@@ -326,18 +328,13 @@ def analytic_ops_for(category: QCategory) -> AnalyticOps | None:
     return None
 
 
-def lattice_for(category: QCategory, prefer: str = "auto") -> WeightedLattice:
-    """Wrap a category in its natural lattice handle.
-
-    prefer: "auto" picks closed forms when registered, otherwise search;
-    "enumerable" forces the search implementation.
-    """
-    if prefer not in ("auto", "enumerable"):
-        raise QCategoryError(f"prefer must be 'auto' or 'enumerable', got {prefer!r}")
-    if prefer == "auto":
-        ops = analytic_ops_for(category)
-        if ops is not None:
-            return AnalyticLattice(category, ops)
+def lattice_for(category: QCategory) -> WeightedLattice:
+    """Wrap a category in its natural lattice handle: closed forms when they
+    are registered for it, otherwise exhaustive search (a FiniteQCategory
+    always takes the search)."""
+    ops = analytic_ops_for(category)
+    if ops is not None:
+        return AnalyticLattice(category, ops)
     if category.is_enumerable:
         return EnumerableLattice(category)
     raise NotEnumerableError(

@@ -180,6 +180,27 @@ PROBES = {
     "table-target-off-stalk": ("validate", "sheaf_bool_edge.json",
                                _set(("restrictions", "u|u,v", "pairs", 1), [1, 7]),
                                "'restrictions'"),
+    # inputs that crashed with a traceback, or were read wrongly, before every
+    # field went through one typed reader
+    "paths-length-negative": ("paths", "paths_small.json", _set(("edges", 0, 2), -1), "'edges'"),
+    "paths-length-minus-inf": ("verify", "paths_small.json", _set(("edges", 0, 2), "-inf"),
+                               "'edges'"),
+    "paths-length-nan": ("paths", "paths_small.json", _set(("edges", 0, 2), "nan"), "'edges'"),
+    "affine-c-not-a-number": ("flow", "k3_circulant.json",
+                              _set(("restrictions", "1|1,2", "c"), "abc"), "'restrictions'"),
+    "des-m-not-a-number": ("des", "des_line.json", _set(("m",), "x"), "'m'"),
+    "des-m-fractional": ("des", "des_line.json", _set(("m",), 2.5), "'m'"),
+    "des-m-zero": ("des", "des_line.json", _set(("m",), 0), "'m'"),
+    "weighting-pair-not-a-triple": ("flow", "k3_circulant.json",
+                                    _set(("weighting",), {"pairs": [["1", "2"]]}), "'weighting'"),
+    "edge-with-three-ends": ("flow", "k3_circulant.json", _set(("edges", 0), ["1", "2", "3"]),
+                             "'edges'"),
+    "vertices-not-a-list": ("flow", "k3_circulant.json", _set(("vertices",), 5), "'vertices'"),
+    "sheaf-initial-a-list": ("flow", "k3_circulant.json", _set(("initial",), [1, 2]), "'initial'"),
+    "des-initial-a-number": ("des", "des_line.json", _set(("initial",), 3), "'initial'"),
+    "prefs-edge-one-end": ("prefs", "prefs_chain.json", _set(("edges", 0), ["p"]), "'edges'"),
+    "quantale-a-string": ("flow", "k3_circulant.json", _set(("quantale",), "lawvere_reals"),
+                          "'quantale'"),
 }
 
 
@@ -191,6 +212,40 @@ def test_boundary_rejects_out_of_carrier_input(tmp_path, fixture_path, capsys, p
         assert main([cmd, "--input", path]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and field in err, err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag this way
+        return exc.code
+
+
+# (subcommand, fixture, flags, the flag the message must name); "{missing}"
+# stands for a path inside a directory that does not exist
+FLAG_PROBES = [
+    ("paths", "paths_small.json", ["--output", "{missing}"], "--output"),
+    ("des", "des_line.json", ["--max-iter", "-1"], "--max-iter"),
+    ("prefs", "prefs_chain.json", ["--max-iter", "-1"], "--max-iter"),
+    ("flow", "k3_circulant.json", ["--max-iter", "-3"], "--max-iter"),
+    ("verify", "quantale_chain4.json", ["--grid", "0"], "--grid"),
+    ("flow", "k3_circulant.json", ["--tolerance", "-1"], "--tolerance"),
+    ("flow", "k3_circulant.json", ["--tolerance", "nan"], "--tolerance"),
+    # flags a subcommand never reads are no longer accepted
+    ("sections", "sheaf_bool_edge.json", ["--max-iter", "5"], "--max-iter"),
+    ("paths", "paths_small.json", ["--tolerance", "0.1"], "--tolerance"),
+    ("flow", "k3_circulant.json", ["--grid", "10"], "--grid"),
+    ("verify", "paths_small.json", ["--schedule", "dijkstra"], "--schedule"),
+]
+
+
+@pytest.mark.parametrize("command, name, flags, flag", FLAG_PROBES,
+                         ids=[f"{c}{''.join(f)}" for c, _n, f, _g in FLAG_PROBES])
+def test_bad_flag_exits_two_naming_it(tmp_path, fixture_path, capsys, command, name, flags, flag):
+    flags = [f.format(missing=tmp_path / "no-such-dir" / "out.jsonl") for f in flags]
+    assert _exit_code([command, "--input", fixture_path(name), *flags]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err, err
 
 
 def test_prefs_weighting_is_used_without_eps(tmp_path, fixture_path):

@@ -80,16 +80,6 @@ def test_finite_category_validation_catches_bad_hom():
     assert any(v.law == "hom-unit" for v in rep.violations)
 
 
-def test_finite_category_payload_round_trip():
-    Q = FiniteChainQuantale(3)
-    C = FiniteQCategory(Q, ["a", "b"], [[2, 1], [0, 2]])
-    C2 = FiniteQCategory.from_payload(Q, C.to_payload())
-    assert C2.objects() == C.objects()
-    for x in C.objects():
-        for y in C.objects():
-            assert C2.hom(x, y) == C.hom(x, y)
-
-
 def test_functor_defect_measures_monotonicity():
     Q = BooleanQuantale()
     C = UnderlineQ(Q)

@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds the library names it wraps.
+
+perfbench/tracer.py patches library functions and methods by name.  When a
+refactor unbinds one of them, the traced run silently reports a zero.  This
+installs the tracer, runs one tiny DES flow and one `global_sections` call,
+and checks that each count read from a patched name moved.
+"""
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+@pytest.fixture
+def tracer():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import tracer as tracer_module
+    finally:
+        sys.path.remove(PERFBENCH)
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        yield tr
+    finally:
+        tr.uninstall()
+
+
+def test_tracer_counts_through_library_bindings(tracer, fixture_path):
+    from sheafflow import fileio, sheaf
+    from sheafflow.apps import des
+
+    g = sheaf.Graph.build(["a", "b"], [("a", "b")])
+    system = des.DesSystem(m=2, delays={"a": ((1.0, 3.0), (2.0, 1.0)),
+                                        "b": ((0.0, 2.0), (1.0, 0.0))}, graph=g)
+    F, W = des.des_sheaf(system)
+    sheaf.harmonic_flow(F, W, {"a": (9.0, 7.0), "b": (8.0, 8.0)}, max_iter=5)
+    _kind, (F2, W2, _initial) = fileio.load_input(fixture_path("sheaf_bool_edge.json"))
+    sections, _cat = sheaf.global_sections(F2, W2)
+    assert sections
+    for counter in ("sheaf.level.pairs", "sheaf.neighbors.calls",
+                    "sheaf.check_cochain.calls", "sheaf.weighting.builds"):
+        assert tracer.count("setup", counter) > 0, counter

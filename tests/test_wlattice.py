@@ -133,13 +133,6 @@ def test_random_lattices_meet_join_cotensor_tensor_laws(rng):
         assert L.category.iso(via, m)
 
 
-def test_diagram_payload_round_trip():
-    D = WeightedDiagram.of([((1, 2), 3.0), ((0, 0), 1.0)])
-    payload = {"S": [list(c) for c, _ in D.pairs()], "W": [w for _, w in D.pairs()]}
-    D2 = WeightedDiagram.from_payload(payload)
-    assert D2.pairs() == D.pairs()
-
-
 def test_analytic_ops_for_rejects_unknown():
     from sheafflow.qcat import FiniteQCategory
     C = FiniteQCategory(BooleanQuantale(), [0], [[1]])
