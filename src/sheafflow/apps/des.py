@@ -81,10 +81,13 @@ class DesSystem:
 def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
     """Sheaf of timing stalks with max-plus transports.
 
-    The per-incidence adjunction level is measured on a finite timing grid
-    whose edge-side points are restriction images, the objects flows
-    transport; there the min-plus transpose is an exact right adjoint, so
-    the recorded levels are crisp.
+    The per-incidence adjunction level is estimated on sampled finite timing
+    vectors x_v paired with their images under the incidence's own
+    restriction.  On those pairs the clipped min-plus transpose is an exact
+    right adjoint, so the recorded levels read crisp.  The Laplacian feeds
+    the corestriction the far endpoint's images instead, where the
+    transposition defect can be several cost units, so a crisp recorded
+    level is an estimate, not a certificate (see NetworkSheaf).
     """
     R = LawvereRealsQuantale()
     cat = PresheafPower(R, sys.m, op=True)

@@ -65,9 +65,14 @@ def shortest_paths(
     vertices: Iterable | None = None,
     max_iter: int | None = None,
 ) -> PathResult:
-    """Distances from `source`; unreachable vertices report infinity."""
+    """Distances from `source`; unreachable vertices report infinity.
+    `max_iter` caps the synchronous mode only; the scheduled mode always makes
+    |V| extractions and raises ValueError when given one."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "dijkstra_schedule" and max_iter is not None:
+        raise ValueError("max_iter applies to the synchronous mode only; "
+                         "dijkstra_schedule makes exactly |V| extractions")
     F, W, g = _build(list(edges), vertices)
     if source not in set(g.vertices):
         raise ValueError(f"source {source!r} is not a vertex")

@@ -4,8 +4,8 @@ A preference relation over alternatives A is a reflexive, transitive matrix
 mu(a, b) of quantale values.  The lattice structure: hom(P, M) is the meet
 of entrywise residuals, cotensors are entrywise residuals, crisp meets are
 entrywise, tensors are entrywise products joined with the discrete identity,
-and joins close the entrywise join under composition.  Every operation
-revalidates its output, erring loudly with the failing triple.
+and joins close the entrywise join under composition.  Every weighted meet
+and join revalidates its output once, erring loudly with the failing triple.
 """
 from __future__ import annotations
 
@@ -171,7 +171,6 @@ class PreferenceCategory(QCategory):
         return AnalyticOps(
             tensor=tensor, cotensor=cotensor,
             crisp_meet=crisp_meet, crisp_join=crisp_join,
-            top=self.full(), bottom=self.discrete(),
             sampler=sampler, validate=validate,
         )
 

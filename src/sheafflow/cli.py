@@ -4,12 +4,13 @@ Subcommands: validate, flow, sections, verify, des, paths, prefs.  Every
 command reads one JSON input file (--input), writes line-delimited JSON
 records with sorted keys (--output, default stdout), and echoes --seed, so a
 fixed seed gives byte-identical output.  The other flags exist only on the
-subcommands that read them: --max-iter (>= 0) on flow, des, paths and prefs;
---tolerance (>= 0) on all but paths; --grid (>= 1) on verify; --schedule on
-paths.  One table keyed by input kind says which subcommands take each kind,
-how each is run, and which quantale --tolerance overrides.  Exit status: 0
-on success, 1 when a validation or verification check fails, 2 when the
-input or a flag cannot be used.
+subcommands that read them: --max-iter (>= 0) on flow, des, prefs and paths
+(where --schedule dijkstra rejects it); --tolerance (>= 0) on all but paths;
+--grid (>= 1) on verify; --schedule on paths.  One table keyed by input
+kind says which subcommands take each kind, how each is run, and which
+quantale --tolerance overrides.  Exit status: 0 on success, 1 when a
+validation or verification check fails, 2 when the input or a flag cannot
+be used.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ def _at_least(low, convert):
     return check
 
 
+_MAX_ITER = 200
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sheafflow",
@@ -63,8 +67,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="output file (default stdout)")
         sp.add_argument("--seed", type=int, default=0, help="random seed, echoed in output")
         if name in ("flow", "des", "paths", "prefs"):
-            sp.add_argument("--max-iter", type=_at_least(0, int), default=200,
-                            help="flow iteration cap (>= 0)")
+            # paths leaves it unset, so that --schedule dijkstra can reject it
+            sp.add_argument("--max-iter", type=_at_least(0, int),
+                            default=None if name == "paths" else _MAX_ITER,
+                            help=f"flow iteration cap (>= 0, default {_MAX_ITER})")
         if name != "paths":
             sp.add_argument("--tolerance", type=_at_least(0.0, float), default=None,
                             help="override the quantale comparison tolerance (>= 0)")
@@ -229,8 +235,11 @@ def _verify_paths(loaded, args, out, rng) -> bool:
 def _paths(loaded, args, out, rng) -> None:
     edges, source, vertices = loaded
     mode = "dijkstra_schedule" if args.schedule == "dijkstra" else "synchronous"
+    max_iter = args.max_iter  # None with dijkstra, which main() enforces
+    if mode == "synchronous" and max_iter is None:
+        max_iter = _MAX_ITER
     r = paths_app.shortest_paths(edges, source, mode=mode, vertices=vertices,
-                                 max_iter=args.max_iter)
+                                 max_iter=max_iter)
     for v in sorted(r.distances, key=str):
         emit({"record": "distance", "vertex": v, "cost": r.distances[v],
               "seed": args.seed}, out)
@@ -307,7 +316,11 @@ def _input_error(message) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "schedule", None) == "dijkstra" and args.max_iter is not None:
+        parser.error("argument --max-iter: not allowed with --schedule dijkstra, "
+                     "which makes exactly one extraction per vertex")
     rng = random.Random(args.seed)
     try:
         kind, loaded = load_input(args.input)

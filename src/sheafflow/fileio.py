@@ -391,10 +391,18 @@ def load_prefs(payload: Mapping) -> dict:
                 "schedule replaces the weighting on every step")
         eps = _per_vertex(payload["eps"], "eps", graph.vertices,
                           lambda raw, where: _in_carrier(Q, [_value(raw, where)], where)[0])
-    return {
-        "quantale": Q, "category": cat, "graph": graph, "initial": initial, "eps": eps,
-        "weighting": load_weighting(payload, graph, Q, "prefs input"),
-    }
+    weighting = load_weighting(payload, graph, Q, "prefs input")
+    # The Laplacian cotensors relations entrywise by the weights.  For an
+    # idempotent q (q * q = q), q * [q, a] * [q, b] = (q * [q, a]) * (q * [q, b])
+    # <= a * b, so [q, a] * [q, b] <= [q, a * b] by residuation; hence
+    # [q, P_ik] * [q, P_kj] <= [q, P_ik * P_kj] <= [q, P_ij], cotensors of a
+    # transitive relation stay transitive, and so do their meets.  Other
+    # weights can leave the stalk.  Boolean and min-t-norm values are all
+    # idempotent, and the bounded-confidence schedule uses only unit and bottom.
+    for q in weighting.table.values():
+        _expect(Q.eq(Q.mul(q, q), q), q, "field 'weighting'", "an idempotent value (q * q = q)")
+    return {"quantale": Q, "category": cat, "graph": graph, "initial": initial, "eps": eps,
+            "weighting": weighting}
 
 
 _LOADERS = {"quantale": load_quantale, "sheaf": load_sheaf, "des": load_des,

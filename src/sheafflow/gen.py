@@ -86,11 +86,6 @@ def random_diagram(rng: Random, L, max_size: int = 4) -> WeightedDiagram:
     )
 
 
-def _unit_pair(L, a, b) -> WeightedDiagram:
-    Q = L.category.quantale
-    return WeightedDiagram.of([(a, Q.unit), (b, Q.unit)])
-
-
 def random_monotone_endofunctor(rng: Random, L) -> QFunctor:
     """A hom-respecting endomap, found by rejection with guaranteed fallbacks."""
     C = L.category
@@ -103,10 +98,10 @@ def random_monotone_endofunctor(rng: Random, L) -> QFunctor:
     a = objs[rng.randrange(len(objs))]
     style = rng.randrange(4)
     if style == 0:
-        return QFunctor(C, C, {x: L.weighted_meet(_unit_pair(L, x, a)) for x in objs},
+        return QFunctor(C, C, {x: L.crisp_meet([x, a]) for x in objs},
                         name="meet-with")
     if style == 1:
-        return QFunctor(C, C, {x: L.weighted_join(_unit_pair(L, x, a)) for x in objs},
+        return QFunctor(C, C, {x: L.crisp_join([x, a]) for x in objs},
                         name="join-with")
     if style == 2:
         return QFunctor(C, C, {x: a for x in objs}, name="constant")

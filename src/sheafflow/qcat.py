@@ -238,16 +238,19 @@ class QFunctor:
     def __init__(self, domain: QCategory, codomain: QCategory, mapping, name: str = ""):
         self.domain = domain
         self.codomain = codomain
-        self._mapping = mapping
-        self.name = name or ("{...}" if isinstance(mapping, Mapping) else getattr(mapping, "__name__", "fn"))
+        # a table is read through its lookup, chosen once here rather than
+        # tested on every call
+        self._is_table = isinstance(mapping, Mapping)
+        self._apply = mapping.__getitem__ if self._is_table else mapping
+        self.name = name or ("{...}" if self._is_table else getattr(mapping, "__name__", "fn"))
 
     def __call__(self, x: Any) -> Any:
-        if isinstance(self._mapping, Mapping):
-            try:
-                return self._mapping[x]
-            except KeyError:
-                raise QCategoryError(f"functor {self.name} is undefined on {x!r}") from None
-        return self._mapping(x)
+        try:
+            return self._apply(x)
+        except KeyError:
+            if not self._is_table:
+                raise
+            raise QCategoryError(f"functor {self.name} is undefined on {x!r}") from None
 
     @classmethod
     def identity(cls, category: QCategory) -> "QFunctor":

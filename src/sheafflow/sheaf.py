@@ -6,10 +6,12 @@ incidence, and a corestriction stalk(e) -> stalk(v) back.  Each incidence
 records the level at which corestriction is right adjoint to restriction;
 the meet of those levels is the fuzziness of the transport Laplacian
 
-    (L x)_v = crisp meet over neighbors w of  W(v, w) -|> g_v(f_w(x_w)),
+    (L x)_v = weighted meet of the diagram w |-> g_v(f_w(x_w)) weighted W(v, w)
+            = crisp meet over neighbors w of  W(v, w) -|> g_v(f_w(x_w)),
 
 with f_w the restriction of the far endpoint and g_v the corestriction back
-into v.  Harmonic flow iterates x <- omega1 -|> Lx  meet  omega2 -|> x.
+into v.  Harmonic flow iterates x <- weighted meet of (Lx, x) weighted
+(omega1, omega2), that is omega1 -|> Lx  meet  omega2 -|> x.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .adjunction import adjunction_defect
 from .qcat import FiniteQCategory, QCategoryError, QFunctor, object_sort_key
 from .quantale import LawvereRealsQuantale, Quantale
 from .report import LawReport
-from .wlattice import WeightedLattice
+from .wlattice import WeightedDiagram, WeightedLattice
 
 Cochain = dict  # vertex -> stalk object
 
@@ -124,11 +126,14 @@ class NetworkSheaf:
 
     Adjunction levels per incidence are measured on construction: over all
     stalk objects when the stalks are enumerable, otherwise over a sample of
-    8 vertex-side objects per incidence, drawn from one Random(7) shared by
-    all incidences, whose edge-side objects are their images under the
-    incidence's own restriction (the objects a flow actually transports).  A
-    transport that fails on its stalk, or carries an object out of it, raises
-    SheafError.
+    8 vertex-side objects x per incidence (v, e), drawn from one Random(7)
+    shared by all incidences, paired with their images f_v(x) under the
+    incidence's own restriction.  A sampled level is the meet of the
+    transposition defects on those pairs only, so it is an estimate that can
+    only err upward, not a certificate: the Laplacian feeds g_v the far
+    endpoint's images f_w(x_w), which are not sampled and may hold the
+    adjunction only at a lower level.  A transport that fails on its stalk,
+    or carries an object out of it, raises SheafError.
     """
 
     def __init__(
@@ -288,16 +293,14 @@ def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], Finit
 
 
 def laplacian(F: NetworkSheaf, W: Weighting, x: Cochain) -> Cochain:
-    """Weighted transport meet at every vertex; stalk top at isolated vertices."""
+    """At every vertex v, one weighted meet of the neighbours' transports
+    g_v(f_w(x_w)) weighted W(v, w); the stalk top at isolated vertices."""
     F.check_cochain(x)
     out = {}
     for v in F.graph.vertices:
-        lat = F.vertex_lattices[v]
-        entries = [
-            lat.cotensor(W(v, w), F.transport(w, v, e, x[w]))
-            for w, e in F.graph.neighbors(v)
-        ]
-        out[v] = lat.crisp_meet(entries)
+        nbrs = F.graph.neighbors(v)
+        out[v] = F.vertex_lattices[v].weighted_meet(WeightedDiagram(
+            [F.transport(w, v, e, x[w]) for w, e in nbrs], [W(v, w) for w, _e in nbrs]))
     return out
 
 
@@ -306,7 +309,8 @@ def flow_step(
     omega1: Callable | None = None, omega2: Callable | None = None,
     Lx: Cochain | None = None,
 ) -> Cochain:
-    """One damped diffusion update: omega1 -|> Lx meet omega2 -|> x."""
+    """One damped diffusion update: at every vertex, the weighted meet of
+    (Lx_v, x_v) weighted (omega1, omega2), i.e. omega1 -|> Lx meet omega2 -|> x."""
     if Lx is None:
         Lx = laplacian(F, W, x)
     unit = F.quantale.unit
@@ -314,8 +318,8 @@ def flow_step(
     w2 = _omega_fn(omega2, unit)
     out = {}
     for v in F.graph.vertices:
-        lat = F.vertex_lattices[v]
-        out[v] = lat.crisp_meet([lat.cotensor(w1(v), Lx[v]), lat.cotensor(w2(v), x[v])])
+        out[v] = F.vertex_lattices[v].weighted_meet(
+            WeightedDiagram([Lx[v], x[v]], [w1(v), w2(v)]))
     return out
 
 

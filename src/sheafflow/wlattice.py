@@ -1,22 +1,25 @@
 """Weighted (co)completeness over a quantale-enriched category.
 
-A weighted lattice wraps a category with tensors q (x) x, cotensors
-q -|> y, and weighted meets/joins of diagrams.  The defining universal
-properties:
+A weighted lattice wraps a category with weighted meets and joins of
+diagrams, defined by their universal properties:
 
     hom(x, wmeet(S, W)) = meet_c [W(c), hom(x, S(c))]
     hom(wjoin(S, W), x) = meet_c [W(c), hom(S(c), x)]
 
-Enumerable lattices locate the representing object by exhaustive search with
-a lowest-identifier tie-break; analytic lattices use registered closed forms
-and assemble weighted meets as crisp meets of cotensors (and dually).
+They are the one primitive: a subclass implements only `weighted_meet` and
+`weighted_join`.  The cotensor q -|> y and tensor q (x) x are the weighted
+meet and join of the one-object diagram weighted q, the crisp meet and join
+those of a unit-weight diagram, and top and bottom the crisp meet and join
+of nothing.  Enumerable lattices locate the representing object by one
+universal-property search with a lowest-identifier tie-break; analytic
+lattices assemble a weighted meet from registered closed forms as the crisp
+meet of the cotensors W(c) -|> S(c) (dually for joins).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from random import Random
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .qcat import (
     NotEnumerableError,
@@ -35,16 +38,16 @@ class NoSuchObject(QCategoryError):
     """No object of the lattice satisfies the requested universal property."""
 
 
-@dataclass(frozen=True)
 class WeightedDiagram:
-    """Finite weighted diagram: parallel tuples of objects and weights."""
+    """Finite weighted diagram: parallel sequences of objects and weights."""
 
-    objects: tuple
-    weights: tuple
+    __slots__ = ("objects", "weights")
 
-    def __post_init__(self):
-        if len(self.objects) != len(self.weights):
+    def __init__(self, objects, weights):
+        if len(objects) != len(weights):
             raise QCategoryError("diagram needs one weight per object")
+        self.objects = objects
+        self.weights = weights
 
     @classmethod
     def of(cls, pairs: Iterable[tuple]) -> "WeightedDiagram":
@@ -59,7 +62,8 @@ class WeightedDiagram:
 
 
 class WeightedLattice:
-    """Base interface; see EnumerableLattice and AnalyticLattice."""
+    """Base interface; a subclass implements weighted_meet and weighted_join,
+    and every other lattice operation is derived from them here."""
 
     category: QCategory
     quantale: Quantale
@@ -77,31 +81,33 @@ class WeightedLattice:
     def iso(self, x, y) -> bool:
         return self.category.iso(x, y)
 
-    def top(self):
+    def weighted_meet(self, D: WeightedDiagram) -> Any:
         raise NotImplementedError
 
-    def bottom(self):
-        raise NotImplementedError
-
-    def tensor(self, q, x):
+    def weighted_join(self, D: WeightedDiagram) -> Any:
         raise NotImplementedError
 
     def cotensor(self, q, y):
-        raise NotImplementedError
+        """q -|> y: the weighted meet of y alone, weighted q."""
+        return self.weighted_meet(WeightedDiagram((y,), (q,)))
+
+    def tensor(self, q, x):
+        """q (x) x: the weighted join of x alone, weighted q."""
+        return self.weighted_join(WeightedDiagram((x,), (q,)))
 
     def crisp_meet(self, objs: Iterable) -> Any:
-        raise NotImplementedError
+        objs = list(objs)
+        return self.weighted_meet(WeightedDiagram(objs, [self.quantale.unit] * len(objs)))
 
     def crisp_join(self, objs: Iterable) -> Any:
-        raise NotImplementedError
+        objs = list(objs)
+        return self.weighted_join(WeightedDiagram(objs, [self.quantale.unit] * len(objs)))
 
-    def weighted_meet(self, D: WeightedDiagram) -> Any:
-        """Decomposition: crisp meet of the cotensors W(c) -|> S(c)."""
-        return self.crisp_meet([self.cotensor(w, s) for s, w in D.pairs()])
+    def top(self):
+        return self.crisp_meet(())
 
-    def weighted_join(self, D: WeightedDiagram) -> Any:
-        """Decomposition: crisp join of the tensors W(c) (x) S(c)."""
-        return self.crisp_join([self.tensor(w, s) for s, w in D.pairs()])
+    def bottom(self):
+        return self.crisp_join(())
 
     def weighted_meet_via_identity_join(self, D: WeightedDiagram) -> Any:
         """Reconstruct the weighted meet as a weighted join of the identity
@@ -114,28 +120,31 @@ class WeightedLattice:
     def object_key(self, x) -> str:
         return object_sort_key(x)
 
+    def _toward(self, kind: str) -> Callable[[Any, Any], Any]:
+        """The hom both sides of the weighted-`kind` universal property read at
+        a probe x: hom(x, -) for a meet, hom(-, x) for a join."""
+        hom = self.category.hom
+        if kind == "meet":
+            return hom
+        if kind == "join":
+            return lambda x, y: hom(y, x)
+        raise QCategoryError(f"kind must be 'meet' or 'join', got {kind!r}")
+
     def weight_sides(self, D: WeightedDiagram, kind: str, probes: Iterable) -> list[tuple]:
         """(x, weight side) for each probe x: meet_c [W(c), hom(x, S(c))] for a
         meet and meet_c [W(c), hom(S(c), x)] for a join."""
-        if kind not in ("meet", "join"):
-            raise QCategoryError(f"kind must be 'meet' or 'join', got {kind!r}")
-        Q, hom = self.quantale, self.hom if kind == "meet" else (lambda x, s: self.hom(s, x))
-        return [(x, Q.meet(Q.hom(w, hom(x, s)) for s, w in D.pairs())) for x in probes]
+        Q, toward = self.quantale, self._toward(kind)
+        pairs = D.pairs()
+        return [(x, Q.meet([Q.hom(w, toward(x, s)) for s, w in pairs])) for x in probes]
 
-    def universal_scan(self, D: WeightedDiagram, kind: str, candidates: Iterable,
-                       probes: Iterable) -> Iterator[tuple[Any, Iterator[tuple]]]:
-        """Both sides of the weighted-`kind` universal property at each candidate
-        c over the probes: yields (c, lazy (x, hom side, weight side) per probe),
-        where the hom side is hom(x, c) for a meet and hom(c, x) for a join."""
-        sides = self.weight_sides(D, kind, probes)
-        hom = self.hom if kind == "join" else (lambda c, x: self.hom(x, c))
-
-        def compare(c):
-            for x, rhs in sides:
-                yield x, hom(c, x), rhs
-
-        for c in candidates:
-            yield c, compare(c)
+    def universal_search(self, D: WeightedDiagram, kind: str, candidates: list) -> Any:
+        """The first candidate c whose hom side (hom(x, c) for a meet, hom(c, x)
+        for a join) equals the weight side at every candidate x, or None: the
+        weighted `kind` of D in the full subcategory on the candidates."""
+        eq, toward = self.quantale.eq, self._toward(kind)
+        sides = self.weight_sides(D, kind, candidates)
+        return next((c for c in candidates if all(eq(toward(x, c), rhs) for x, rhs in sides)),
+                    None)
 
     def verify_universal_property(
         self, D: WeightedDiagram, candidate: Any, kind: str = "meet",
@@ -143,12 +152,12 @@ class WeightedLattice:
     ) -> LawReport:
         """Re-derive the universal property at `candidate` against every probe
         object (all objects when enumerable).  Reports the worst witness."""
-        Q = self.quantale
+        Q, toward = self.quantale, self._toward(kind)
         rep = LawReport(title=f"weighted-{kind} universal property")
         obs = list(probes) if probes is not None else self.objects()
-        [(_c, sides)] = self.universal_scan(D, kind, [candidate], obs)
         worst = None
-        for x, lhs, rhs in sides:
+        for x, rhs in self.weight_sides(D, kind, obs):
+            lhs = toward(x, candidate)
             if not rep.check(f"weighted-{kind}-up", Q.eq(lhs, rhs), x,
                              f"hom side {lhs!r} vs weight side {rhs!r}"):
                 gap = Q.gap(lhs, rhs)
@@ -160,7 +169,7 @@ class WeightedLattice:
 
 
 class EnumerableLattice(WeightedLattice):
-    """Universal properties resolved by exhaustive search."""
+    """Universal properties resolved by search over all objects."""
 
     def __init__(self, category: QCategory):
         if not category.is_enumerable:
@@ -172,53 +181,17 @@ class EnumerableLattice(WeightedLattice):
     def objects(self):
         return list(self._objects)
 
-    def _search(self, spec: Callable[[Any, Any], tuple], describe: str) -> Any:
-        """Find the lowest-keyed object c with lhs(x, c) = rhs(x, c) for all x."""
-        Q = self.quantale
-        for c in self._objects:
-            if all(Q.eq(*spec(x, c)) for x in self._objects):
-                return c
-        raise NoSuchObject(f"no object satisfies {describe}")
+    def weighted_meet(self, D):
+        return self._representing(D, "meet")
 
-    def top(self):
-        return self.crisp_meet([])
+    def weighted_join(self, D):
+        return self._representing(D, "join")
 
-    def bottom(self):
-        return self.crisp_join([])
-
-    def tensor(self, q, x):
-        Q = self.quantale
-        hom = self.category.hom
-        return self._search(
-            lambda z, c: (hom(c, z), Q.hom(q, hom(x, z))),
-            f"tensor of {q!r} with {x!r}",
-        )
-
-    def cotensor(self, q, y):
-        Q = self.quantale
-        hom = self.category.hom
-        return self._search(
-            lambda z, c: (hom(z, c), Q.hom(q, hom(z, y))),
-            f"cotensor of {q!r} into {y!r}",
-        )
-
-    def crisp_meet(self, objs):
-        objs = list(objs)
-        Q = self.quantale
-        hom = self.category.hom
-        return self._search(
-            lambda z, c: (hom(z, c), Q.meet(hom(z, a) for a in objs)),
-            f"meet of {len(objs)} objects",
-        )
-
-    def crisp_join(self, objs):
-        objs = list(objs)
-        Q = self.quantale
-        hom = self.category.hom
-        return self._search(
-            lambda z, c: (hom(c, z), Q.meet(hom(a, z) for a in objs)),
-            f"join of {len(objs)} objects",
-        )
+    def _representing(self, D: WeightedDiagram, kind: str) -> Any:
+        found = self.universal_search(D, kind, self._objects)
+        if found is None:
+            raise NoSuchObject(f"no object is a weighted {kind} of {len(D)} objects")
+        return found
 
     def sample_object(self, rng):
         return self._objects[rng.randrange(len(self._objects))]
@@ -226,14 +199,13 @@ class EnumerableLattice(WeightedLattice):
 
 @dataclass
 class AnalyticOps:
-    """Closed forms backing an AnalyticLattice."""
+    """Closed forms backing an AnalyticLattice; the crisp meet and join of an
+    empty list are the top and bottom."""
 
     tensor: Callable[[Any, Any], Any]
     cotensor: Callable[[Any, Any], Any]
     crisp_meet: Callable[[list], Any]
     crisp_join: Callable[[list], Any]
-    top: Any
-    bottom: Any
     sampler: Callable[[Random], Any]
     validate: Callable[[Any], Any] | None = None
 
@@ -243,15 +215,14 @@ class AnalyticOps:
             cotensor=self.tensor,
             crisp_meet=self.crisp_join,
             crisp_join=self.crisp_meet,
-            top=self.bottom,
-            bottom=self.top,
             sampler=self.sampler,
             validate=self.validate,
         )
 
 
 class AnalyticLattice(WeightedLattice):
-    """Lattice whose operations are registered closed forms."""
+    """Weighted meets (joins) as the closed-form crisp meet of cotensors (join
+    of tensors), validated once when a validator is registered."""
 
     def __init__(self, category: QCategory, ops: AnalyticOps):
         self.category = category
@@ -263,23 +234,13 @@ class AnalyticLattice(WeightedLattice):
             val = self.ops.validate(val)
         return val
 
-    def top(self):
-        return self.ops.top
+    def weighted_meet(self, D):
+        ops = self.ops
+        return self._out(ops.crisp_meet(list(map(ops.cotensor, D.weights, D.objects))))
 
-    def bottom(self):
-        return self.ops.bottom
-
-    def tensor(self, q, x):
-        return self._out(self.ops.tensor(q, x))
-
-    def cotensor(self, q, y):
-        return self._out(self.ops.cotensor(q, y))
-
-    def crisp_meet(self, objs):
-        return self._out(self.ops.crisp_meet(list(objs)))
-
-    def crisp_join(self, objs):
-        return self._out(self.ops.crisp_join(list(objs)))
+    def weighted_join(self, D):
+        ops = self.ops
+        return self._out(ops.crisp_join(list(map(ops.tensor, D.weights, D.objects))))
 
     def sample_object(self, rng):
         return self.ops.sampler(rng)
@@ -291,8 +252,6 @@ def _underline_ops(Q: Quantale) -> AnalyticOps:
         cotensor=Q.hom,
         crisp_meet=Q.meet,
         crisp_join=Q.join,
-        top=Q.top,
-        bottom=Q.bottom,
         sampler=Q.sample,
     )
 
@@ -306,8 +265,6 @@ def _power_ops(Q: Quantale, m: int, op: bool) -> AnalyticOps:
         cotensor=pointwise(Q.hom),
         crisp_meet=lambda objs: tuple(Q.meet(o[i] for o in objs) for i in range(m)),
         crisp_join=lambda objs: tuple(Q.join(o[i] for o in objs) for i in range(m)),
-        top=(Q.top,) * m,
-        bottom=(Q.bottom,) * m,
         sampler=lambda rng: tuple(Q.sample(rng) for _ in range(m)),
     )
     return base.swapped() if op else base

@@ -236,6 +236,8 @@ FLAG_PROBES = [
     ("paths", "paths_small.json", ["--tolerance", "0.1"], "--tolerance"),
     ("flow", "k3_circulant.json", ["--grid", "10"], "--grid"),
     ("verify", "paths_small.json", ["--schedule", "dijkstra"], "--schedule"),
+    # the extraction schedule makes |V| extractions whatever the cap
+    ("paths", "paths_small.json", ["--schedule", "dijkstra", "--max-iter", "5"], "--max-iter"),
 ]
 
 
@@ -263,6 +265,31 @@ def test_prefs_weighting_with_eps_rejected(tmp_path, fixture_path, capsys):
                     _set(("weighting",), {"constant": 1}))
     assert main(["prefs", "--input", path]) == 2
     assert "'weighting'" in capsys.readouterr().err
+
+
+def _product_prefs(weighting):
+    """Two vertices over the product t-norm; p holds the transitive relation
+    P(x,y) = P(y,z) = 0.4, P(x,z) = 0.16, whose cotensor by 0.5 is not."""
+    def edit(payload):
+        payload.clear()
+        payload.update({
+            "kind": "prefs", "quantale": {"kind": "unit_interval", "tnorm": "product"},
+            "alternatives": ["x", "y", "z"], "vertices": ["p", "q"], "edges": [["p", "q"]],
+            "initial": {"p": [[1, 0.4, 0.16], [0, 1, 0.4], [0, 0, 1]],
+                        "q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            "weighting": weighting})
+    return edit
+
+
+@pytest.mark.parametrize("weighting, code", [({"constant": 0.5}, 2), ({"constant": 0}, 0),
+                                             ({"constant": 1}, 0)])
+def test_prefs_weighting_must_be_idempotent(tmp_path, fixture_path, capsys, weighting, code):
+    path = _variant(tmp_path, fixture_path, "prefs_chain.json", _product_prefs(weighting))
+    assert main(["prefs", "--input", path]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "'weighting'" in err
 
 
 def test_verify_surfaces_generator_faults(monkeypatch, fixture_path):

@@ -25,6 +25,11 @@ def test_dijkstra_schedule_extracts_each_vertex_once():
     assert res.extractions == 4
 
 
+def test_dijkstra_schedule_rejects_an_iteration_cap():
+    with pytest.raises(ValueError, match="max_iter"):
+        shortest_paths(HAND_EDGES, "s", mode="dijkstra_schedule", max_iter=5)
+
+
 def test_disconnected_vertex_reports_infinity():
     edges = [("s", "a", 1.0)]
     for mode in MODES:

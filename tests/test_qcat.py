@@ -148,3 +148,18 @@ def test_hom_leq_and_approx():
     assert C.approx(3.0, 5.0, 2.0)
     assert C.iso(4.0, 4.0)
     assert not C.iso(3.0, 5.0)
+
+
+def test_functor_table_names_itself_on_a_missing_object():
+    C = FiniteQCategory(FiniteChainQuantale(2), [0, 1], [[1, 1], [0, 1]])
+    F = QFunctor(C, C, {0: 1}, name="partial")
+    assert F(0) == 1
+    with pytest.raises(QCategoryError, match="partial"):
+        F(1)
+
+    def lookup(x):
+        return {0: 1}[x]
+
+    # a KeyError raised inside a callable mapping is the callable's own
+    with pytest.raises(KeyError):
+        QFunctor(C, C, lookup)(1)

@@ -254,3 +254,24 @@ def test_constant_sheaf_has_identity_transports():
     assert F.is_crisp()
     assert all(F.transport(w, v, e, x) == x
                for v, w, e in g.adjacent_pairs() for x in Q.elements())
+
+
+def test_laplacian_and_flow_step_are_crisp_meets_of_cotensors():
+    """The one weighted meet per vertex equals the per-neighbour crisp meet of
+    cotensors, on the criterion-4 corpus of crisp sheaves and all cochains."""
+    rng = random.Random(0xACC4)
+    for _ in range(50):
+        F, W = random_crisp_sheaf(rng)
+        Q = F.quantale
+        w1, w2 = Q.sample(rng), Q.sample(rng)
+        for x in all_cochains(F):
+            Lx = laplacian(F, W, x)
+            for v in F.graph.vertices:
+                lat = F.vertex_lattices[v]
+                assert Lx[v] == lat.crisp_meet(
+                    [lat.cotensor(W(v, w), F.transport(w, v, e, x[w]))
+                     for w, e in F.graph.neighbors(v)])
+            step = flow_step(F, W, x, w1, w2, Lx=Lx)
+            assert step == {v: F.vertex_lattices[v].crisp_meet(
+                [F.vertex_lattices[v].cotensor(w1, Lx[v]),
+                 F.vertex_lattices[v].cotensor(w2, x[v])]) for v in F.graph.vertices}

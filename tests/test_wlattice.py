@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from sheafflow.gen import random_diagram, random_lattice
+from sheafflow.apps.prefs import preference_lattice
+from sheafflow.gen import LATTICE_FAMILIES, random_diagram, random_lattice
 from sheafflow.oracle import brute_weighted_join, brute_weighted_meet
 from sheafflow.qcat import OppositeCategory, PresheafPower, UnderlineQ
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
+    FinitePowersetQuantale,
     LawvereRealsQuantale,
 )
 from sheafflow.wlattice import (
@@ -137,3 +139,28 @@ def test_analytic_ops_for_rejects_unknown():
     from sheafflow.qcat import FiniteQCategory
     C = FiniteQCategory(BooleanQuantale(), [0], [[1]])
     assert analytic_ops_for(C) is None
+
+
+# finite-carrier stalks, each built from a seeded Random
+DECOMPOSITION_STALKS = {
+    **{family: (lambda rng, family=family: random_lattice(rng, (family,)))
+       for family in LATTICE_FAMILIES},
+    "underline-chain4": lambda rng: lattice_for(UnderlineQ(FiniteChainQuantale(4))),
+    "underline-powerset2": lambda rng: lattice_for(UnderlineQ(FinitePowersetQuantale([0, 1]))),
+    "power-op-chain3": lambda rng: lattice_for(PresheafPower(FiniteChainQuantale(3), 2, op=True)),
+    "prefs-chain3": lambda rng: preference_lattice(FiniteChainQuantale(3), ("x", "y", "z")),
+}
+
+
+@pytest.mark.parametrize("stalk", sorted(DECOMPOSITION_STALKS))
+def test_weighted_ops_decompose_into_cotensors_and_tensors(stalk):
+    """Kelly 3.10: a weighted meet is the crisp meet of the cotensors of its
+    members, a weighted join the crisp join of their tensors; exact here."""
+    rng = random.Random(17)
+    for _ in range(20):
+        L = DECOMPOSITION_STALKS[stalk](rng)
+        Q = L.quantale
+        D = WeightedDiagram.of((L.sample_object(rng), Q.sample(rng))
+                               for _ in range(rng.randint(0, 3)))
+        assert L.weighted_meet(D) == L.crisp_meet([L.cotensor(w, s) for s, w in D.pairs()])
+        assert L.weighted_join(D) == L.crisp_join([L.tensor(w, s) for s, w in D.pairs()])
