@@ -99,19 +99,17 @@ def perturbed_adjunction(
 
 def check_colim_inequality(
     F: QFunctor, D: WeightedDiagram, q,
-    dom_lattice: WeightedLattice | None = None,
-    cod_lattice: WeightedLattice | None = None,
+    dom_lattice: WeightedLattice, cod_lattice: WeightedLattice,
 ) -> LawReport:
-    """For a q-fuzzy functor, the image join sits q-below the join's image."""
+    """For a q-fuzzy functor, the image join sits q-below the join's image;
+    the joins are taken in the lattices on F's domain and codomain."""
     Q = F.domain.quantale
     rep = LawReport(title="colimit inequality")
-    LC = dom_lattice if dom_lattice is not None else lattice_for(F.domain)
-    LD = cod_lattice if cod_lattice is not None else lattice_for(F.codomain)
     df = functor_defect(F)
     rep.check("functor-at-level-q", Q.leq(q, df), df)
-    jC = LC.weighted_join(D)
+    jC = dom_lattice.weighted_join(D)
     FD = WeightedDiagram(tuple(F(s) for s in D.objects), D.weights)
-    jD = LD.weighted_join(FD)
+    jD = cod_lattice.weighted_join(FD)
     h = F.codomain.hom(jD, F(jC))
     rep.check("image-join-below-join-image", Q.leq(q, h), (jD, F(jC)),
               f"hom={h!r} at level {q!r}")
@@ -119,29 +117,24 @@ def check_colim_inequality(
 
 
 def adjoint_limit_interchange(
-    F: QFunctor, G: QFunctor, q,
-    D_dom: WeightedDiagram | None = None, D_cod: WeightedDiagram | None = None,
-    sample: Iterable[tuple] | None = None,
+    F: QFunctor, G: QFunctor, q, D_dom: WeightedDiagram, D_cod: WeightedDiagram,
 ) -> LawReport:
-    """q-adjoints move weighted joins (left leg) and meets (right leg)
-    across, up to level q*q."""
+    """q-adjoints move weighted joins (left leg, D_dom) and meets (right leg,
+    D_cod) across, up to level q*q."""
     Q = F.domain.quantale
     rep = LawReport(title="adjoint limit interchange")
-    defect = adjunction_defect(F, G, sample)
+    defect = adjunction_defect(F, G)
     rep.check("pair-at-level-q", Q.leq(q, defect), defect)
     qq = Q.mul(q, q)
-    if D_dom is not None or D_cod is not None:
-        LC, LD = lattice_for(F.domain), lattice_for(F.codomain)
-    if D_dom is not None:
-        lhs = F(LC.weighted_join(D_dom))
-        rhs = LD.weighted_join(WeightedDiagram(tuple(F(s) for s in D_dom.objects), D_dom.weights))
-        rep.check("join-interchange", F.codomain.approx(lhs, rhs, qq), None,
-                  f"F(join D) vs join F(D) not {qq!r}-equivalent")
-    if D_cod is not None:
-        lhs = G(LD.weighted_meet(D_cod))
-        rhs = LC.weighted_meet(WeightedDiagram(tuple(G(s) for s in D_cod.objects), D_cod.weights))
-        rep.check("meet-interchange", F.domain.approx(lhs, rhs, qq), None,
-                  f"G(meet D) vs meet G(D) not {qq!r}-equivalent")
+    LC, LD = lattice_for(F.domain), lattice_for(F.codomain)
+    lhs = F(LC.weighted_join(D_dom))
+    rhs = LD.weighted_join(WeightedDiagram(tuple(F(s) for s in D_dom.objects), D_dom.weights))
+    rep.check("join-interchange", F.codomain.approx(lhs, rhs, qq), None,
+              f"F(join D) vs join F(D) not {qq!r}-equivalent")
+    lhs = G(LD.weighted_meet(D_cod))
+    rhs = LC.weighted_meet(WeightedDiagram(tuple(G(s) for s in D_cod.objects), D_cod.weights))
+    rep.check("meet-interchange", F.domain.approx(lhs, rhs, qq), None,
+              f"G(meet D) vs meet G(D) not {qq!r}-equivalent")
     return rep
 
 

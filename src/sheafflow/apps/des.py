@@ -158,6 +158,7 @@ def closed_form_crosscheck(
     rep = LawReport(title="closed-form timing Laplacian crosscheck")
     R = F.quantale
     for x in cochains:
+        F.check_cochain(x)
         generic = laplacian(F, W, x)
         closed = des_laplacian_closed_form(sys, W, x)
         for v in sys.graph.vertices:

@@ -4,8 +4,8 @@ A preference relation over alternatives A is a reflexive, transitive matrix
 mu(a, b) of quantale values.  The lattice structure: hom(P, M) is the meet
 of entrywise residuals, cotensors are entrywise residuals, crisp meets are
 entrywise, tensors are entrywise products joined with the discrete identity,
-and joins close the entrywise join under composition.  Every weighted meet
-and join revalidates its output once, erring loudly with the failing triple.
+and joins close the entrywise join under composition.  Each keeps relations
+reflexive and transitive, or (a cotensor by q with q * q != q) raises.
 """
 from __future__ import annotations
 
@@ -24,14 +24,12 @@ Relation = tuple  # square tuple-of-tuples over the alternatives order
 
 
 class ClosureError(QCategoryError):
-    """A produced matrix failed reflexivity or transitivity revalidation."""
+    """A matrix is not, or would not stay, reflexive and transitive."""
 
 
-def relation_from_table(alternatives: Iterable, table: Mapping | Iterable) -> Relation:
+def relation_from_table(alternatives: Iterable, table: Mapping) -> Relation:
     alts = list(alternatives)
-    if isinstance(table, Mapping):
-        return tuple(tuple(table[(a, b)] for b in alts) for a in alts)
-    return tuple(tuple(row) for row in table)
+    return tuple(tuple(table[(a, b)] for b in alts) for a in alts)
 
 
 def check_relation(Q: Quantale, rel: Relation) -> None:
@@ -133,6 +131,10 @@ class PreferenceCategory(QCategory):
         n = self.n
 
         def cotensor(q, P):
+            # q * q = q gives q * [q, a] * [q, b] <= a * b, so [q, a] * [q, b] <= [q, a * b]
+            # by residuation and [q, -] keeps P transitive; other weights can break it.
+            if not Q.eq(Q.mul(q, q), q):
+                raise ClosureError(f"cotensor by {q!r}, which is not idempotent")
             return tuple(tuple(Q.hom(q, P[i][j]) for j in range(n)) for i in range(n))
 
         def tensor(q, P):
@@ -164,15 +166,7 @@ class PreferenceCategory(QCategory):
             )
             return compose_closure(Q, raw)
 
-        def validate(rel):
-            check_relation(Q, rel)
-            return rel
-
-        return AnalyticOps(
-            tensor=tensor, cotensor=cotensor,
-            crisp_meet=crisp_meet, crisp_join=crisp_join,
-            sampler=sampler, validate=validate,
-        )
+        return AnalyticOps(tensor, cotensor, crisp_meet, crisp_join, sampler)
 
     def __repr__(self):
         return f"PreferenceCategory({self.n} alternatives, {self.quantale.kind})"

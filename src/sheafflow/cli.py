@@ -9,12 +9,13 @@ subcommands that read them: --max-iter (>= 0) on flow, des, prefs and paths
 --grid (>= 1) on verify; --schedule on paths.  One table keyed by input
 kind says which subcommands take each kind, how each is run, and which
 quantale --tolerance overrides.  Exit status: 0 on success, 1 when a
-validation or verification check fails, 2 when the input or a flag cannot
-be used.
+validation or verification check fails or stdout is closed before the
+output is written, 2 when the input or a flag cannot be used.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -342,6 +343,10 @@ def main(argv=None) -> int:
         return 2
     try:
         passed = commands[args.command](subject, args, out, rng)
+        out.flush()
+    except BrokenPipeError:  # stdout's reader is gone; keep the flush at exit from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputFormatError as exc:
         return _input_error(exc)
     except NoSuchObject as exc:

@@ -86,6 +86,22 @@ def _object(v: Any, where: str) -> dict:
     return _expect(isinstance(v, dict), v, where, "a JSON object")
 
 
+def _fields(v: Any, known: str, where: str) -> dict:
+    """A JSON object whose every key is one of the space-separated `known`."""
+    unread = sorted(set(_object(v, where)) - set(known.split()))
+    if unread:
+        raise InputFormatError(f"{where} has unknown field {unread[0]!r}; it reads: {known}")
+    return v
+
+
+def _kind(desc: Any, fields: Mapping[str, str], where: str) -> str:
+    """The 'kind' of a JSON object that gives only 'kind' and fields[kind]."""
+    kind = _need(_object(desc, where), "kind", where)
+    _expect(kind in tuple(fields), kind, f"field 'kind' in {where}", f"one of {tuple(fields)}")
+    _fields(desc, "kind " + fields[kind], where)
+    return kind
+
+
 def _list(v: Any, where: str) -> list:
     return _expect(isinstance(v, list), v, where, "a list")
 
@@ -140,10 +156,13 @@ def _in_carrier(Q: Quantale, values: list, where: str) -> list:
     return values
 
 
+def _vertices(v: Any) -> list[str]:
+    names = [_name(x, "field 'vertices'") for x in _list(v, "field 'vertices'")]
+    return _expect(len(set(names)) == len(names), names, "field 'vertices'", "distinct names")
+
+
 def _graph(payload: Mapping, where: str) -> Graph:
-    vertices = [_name(v, "field 'vertices'") for v in _list(_need(payload, "vertices", where),
-                                                             "field 'vertices'")]
-    _expect(len(set(vertices)) == len(vertices), vertices, "field 'vertices'", "distinct names")
+    vertices = _vertices(_need(payload, "vertices", where))
     edges = [(_name(v, "field 'edges'"), _name(w, "field 'edges'"))
              for v, w in _tuples(_need(payload, "edges", where), "field 'edges'", "[v, w]")]
     try:
@@ -184,28 +203,27 @@ def load_quantale(payload: Mapping) -> Quantale:
 
 
 def build_stalk(Q: Quantale, desc: Any):
-    """Stalk descriptor -> lattice.  Kinds: underline, underline_op,
-    presheaf_power (fields m, op), finite (fields objects, hom)."""
-    desc = _object(desc, "field 'stalks'")
-    kind = _need(desc, "kind", "stalk descriptor")
+    """Stalk descriptor -> lattice."""
+    kind = _kind(desc, {"underline": "", "underline_op": "", "presheaf_power": "m op",
+                        "finite": "objects hom"}, "field 'stalks'")
     if kind == "underline":
         return lattice_for(UnderlineQ(Q))
     if kind == "underline_op":
         return lattice_for(OppositeCategory(UnderlineQ(Q)))
     if kind == "presheaf_power":
         m = _integer(_need(desc, "m", "presheaf_power stalk"), "field 'stalks', 'm'", 1)
-        return lattice_for(PresheafPower(Q, m, op=bool(desc.get("op", False))))
-    if kind == "finite":
-        return lattice_for(_finite_category(Q, desc, "stalks"))
-    raise InputFormatError(f"field 'kind' of a stalk descriptor has unknown value {kind!r}")
+        op = desc.get("op", False)
+        _expect(isinstance(op, bool), op, "field 'stalks', 'op'", "true or false")
+        return lattice_for(PresheafPower(Q, m, op=op))
+    return lattice_for(_finite_category(Q, desc, "stalks"))
 
 
 def _build_map(desc: Any, dom, cod, name: str, field: str) -> QFunctor:
     """Map descriptor -> functor; its constants must lie in the carrier and a
     table's targets in the target stalk."""
     where = f"field {field!r} at {name!r}"
-    desc = _object(desc, where)
-    kind = _need(desc, "kind", f"map descriptor {name}")
+    kind = _kind(desc, {"identity": "", "affine_shift": "c", "affine_unshift": "c", "table": "pairs",
+                        "max_plus": "delays", "min_plus_transpose": "delays"}, where)
     if kind == "identity":
         return QFunctor(dom.category, cod.category, lambda x: x, name=f"id[{name}]")
     if kind in ("affine_shift", "affine_unshift"):
@@ -223,13 +241,11 @@ def _build_map(desc: Any, dom, cod, name: str, field: str) -> QFunctor:
                             name=f"maxplus[{name}]")
         return QFunctor(dom.category, cod.category,
                         lambda y, A=A: minplus_transpose_apply(A, y), name=f"minplusT[{name}]")
-    if kind == "table":
-        pairs = _tuples(_need(desc, "pairs", "table map"), where, "[x, y]")
-        mapping = {_value(a, where): _value(b, where) for a, b in pairs}
-        for b in mapping.values():
-            _expect(cod.category.has_object(b), b, f"{where}, a table target", "an object of its stalk")
-        return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
-    raise InputFormatError(f"field 'kind' of map descriptor {name} has unknown value {kind!r}")
+    pairs = _tuples(_need(desc, "pairs", "table map"), where, "[x, y]")
+    mapping = {_value(a, where): _value(b, where) for a, b in pairs}
+    for b in mapping.values():
+        _expect(cod.category.has_object(b), b, f"{where}, a table target", "an object of its stalk")
+    return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
 
 
 _RIGHT_ADJOINT_KIND = {"identity": "identity", "affine_shift": "affine_unshift",
@@ -266,20 +282,19 @@ def load_weighting(payload: Mapping, graph: Graph, Q: Quantale, where: str) -> W
     if desc is None:
         return Weighting(graph, Q)
     field = "field 'weighting'"
-    desc = _object(desc, field)
+    _expect(len(_fields(desc, "constant pairs", field)) == 1, desc, field,
+            "an object with one of 'constant' or 'pairs'")
     try:
         if "constant" in desc:
             return Weighting(graph, Q, constant=_value(desc["constant"], field))
-        if "pairs" in desc:
-            table = {(_name(v, field), _name(w, field)): _value(val, field)
-                     for v, w, val in _tuples(desc["pairs"], field, "[v, w, value]")}
-            for v, w, _e in graph.adjacent_pairs():
-                if (v, w) not in table and (w, v) in table:
-                    table[(v, w)] = table[(w, v)]
-            return Weighting(graph, Q, table=table)
+        table = {(_name(v, field), _name(w, field)): _value(val, field)
+                 for v, w, val in _tuples(desc["pairs"], field, "[v, w, value]")}
+        for v, w, _e in graph.adjacent_pairs():
+            if (v, w) not in table and (w, v) in table:
+                table[(v, w)] = table[(w, v)]
+        return Weighting(graph, Q, table=table)
     except (SheafError, QuantaleError) as exc:
         raise InputFormatError(f"field 'weighting' in {where} is invalid: {exc}") from exc
-    raise InputFormatError(f"field 'weighting' in {where} needs 'constant' or 'pairs'")
 
 
 def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
@@ -358,9 +373,7 @@ def load_paths(payload: Mapping) -> tuple[list, Any, list | None]:
     _expect(all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs), edges, where,
             "edges between two distinct vertices, each given once")
     source = _name(_need(payload, "source", "paths input"), "field 'source'")
-    vertices = payload.get("vertices")
-    if vertices is not None:
-        vertices = [_name(v, "field 'vertices'") for v in _list(vertices, "field 'vertices'")]
+    vertices = _vertices(payload["vertices"]) if "vertices" in payload else None
     _expect(source in {x for e in edges for x in e[:2]}.union(vertices or ()), source,
             "field 'source'", "a vertex")
     return edges, source, vertices
@@ -392,23 +405,30 @@ def load_prefs(payload: Mapping) -> dict:
         eps = _per_vertex(payload["eps"], "eps", graph.vertices,
                           lambda raw, where: _in_carrier(Q, [_value(raw, where)], where)[0])
     weighting = load_weighting(payload, graph, Q, "prefs input")
-    # The Laplacian cotensors relations entrywise by the weights.  For an
-    # idempotent q (q * q = q), q * [q, a] * [q, b] = (q * [q, a]) * (q * [q, b])
-    # <= a * b, so [q, a] * [q, b] <= [q, a * b] by residuation; hence
-    # [q, P_ik] * [q, P_kj] <= [q, P_ik * P_kj] <= [q, P_ij], cotensors of a
-    # transitive relation stay transitive, and so do their meets.  Other
-    # weights can leave the stalk.  Boolean and min-t-norm values are all
-    # idempotent, and the bounded-confidence schedule uses only unit and bottom.
+    # The Laplacian cotensors by the weights, and a prefs cotensor needs q * q = q.
+    # Boolean and min-t-norm values are all idempotent, and the bounded-confidence
+    # schedule uses only unit and bottom.
     for q in weighting.table.values():
         _expect(Q.eq(Q.mul(q, q), q), q, "field 'weighting'", "an idempotent value (q * q = q)")
     return {"quantale": Q, "category": cat, "graph": graph, "initial": initial, "eps": eps,
             "weighting": weighting}
 
 
-_LOADERS = {"quantale": load_quantale, "sheaf": load_sheaf, "des": load_des,
-            "paths": load_paths, "prefs": load_prefs,
-            "category": lambda payload: _finite_category(
-                load_quantale(payload), _need(payload, "category", "category input"), "category")}
+def load_category(payload: Mapping) -> FiniteQCategory:
+    Q = load_quantale(payload)
+    desc = _fields(_need(payload, "category", "category input"), "objects hom", "field 'category'")
+    return _finite_category(Q, desc, "category")
+
+
+_LOADERS = {"quantale": load_quantale, "category": load_category, "sheaf": load_sheaf,
+            "des": load_des, "paths": load_paths, "prefs": load_prefs}
+# input kind -> the top-level fields its loader reads
+_INPUT_FIELDS = {"quantale": "quantale", "category": "quantale category",
+                 "sheaf": "quantale vertices edges stalk stalks restrictions corestrictions "
+                          "weighting initial",
+                 "des": "m vertices edges delays weighting initial",
+                 "paths": "edges source vertices",
+                 "prefs": "quantale alternatives vertices edges initial eps weighting"}
 
 
 def load_input(path: str) -> tuple[str, Any]:
@@ -422,6 +442,5 @@ def load_input(path: str) -> tuple[str, Any]:
         raise InputFormatError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputFormatError("input must be a JSON object with field 'kind'")
-    kind = _need(payload, "kind", "the input file")
-    _expect(kind in tuple(_LOADERS), kind, "field 'kind'", f"one of {tuple(_LOADERS)}")
+    kind = _kind(payload, _INPUT_FIELDS, "the input file")
     return kind, _LOADERS[kind](payload)

@@ -18,13 +18,13 @@ from .sheaf import Graph, NetworkSheaf, Weighting
 from .wlattice import EnumerableLattice, WeightedDiagram
 
 
-def moore_family(rng: Random, ground_size: int = 3, max_objects: int = 6) -> list[frozenset]:
-    """Intersection-closed set family containing the ground set.
+def moore_family(rng: Random) -> list[frozenset]:
+    """Intersection-closed family of subsets of {0, 1, 2} containing {0, 1, 2}.
 
     Such a family under inclusion has all meets (intersections) and hence
-    all joins, so it is a complete lattice with at most max_objects members.
+    all joins, so it is a complete lattice; it has at most six members.
     """
-    ground = frozenset(range(ground_size))
+    ground = frozenset(range(3))
     for _ in range(24):
         k = rng.randint(0, 3)
         family = {ground}
@@ -35,7 +35,7 @@ def moore_family(rng: Random, ground_size: int = 3, max_objects: int = 6) -> lis
             if not extra:
                 break
             family |= extra
-        if len(family) <= max_objects:
+        if len(family) <= 6:
             return sorted(family, key=object_sort_key)
     return sorted({frozenset(), ground}, key=object_sort_key)
 
@@ -46,14 +46,14 @@ def inclusion_category(quantale: Quantale, family: list[frozenset]) -> FiniteQCa
     return FiniteQCategory(quantale, family, hom)
 
 
-def monotone_pairs_category(n: int = 3) -> FiniteQCategory:
-    """Pairs (a, b) with a >= b in the n-chain, hom the entrywise meet.
+def monotone_pairs_category() -> FiniteQCategory:
+    """Pairs (a, b) with a >= b in the 3-chain, hom the entrywise meet.
 
     These are the order-reversing presheaves on a two-point chain; meets,
     joins, and cotensors are entrywise, so the category is complete.
     """
-    Q = FiniteChainQuantale(n)
-    objs = [(a, b) for a in range(n) for b in range(n) if a >= b]
+    Q = FiniteChainQuantale(3)
+    objs = [(a, b) for a in range(3) for b in range(3) if a >= b]
     hom = [[Q.meet2(Q.hom(a, c), Q.hom(b, d)) for (c, d) in objs] for (a, b) in objs]
     return FiniteQCategory(Q, objs, hom)
 
@@ -71,7 +71,7 @@ def random_lattice(rng: Random, families=LATTICE_FAMILIES) -> EnumerableLattice:
     elif family == "chain-underline":
         cat = UnderlineQ(FiniteChainQuantale(3))
     elif family == "chain-pairs":
-        cat = monotone_pairs_category(3)
+        cat = monotone_pairs_category()
     else:
         raise ValueError(f"unknown lattice family {family!r}")
     return EnumerableLattice(cat)

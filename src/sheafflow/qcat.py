@@ -289,24 +289,18 @@ def opposite(C: QCategory) -> QCategory:
     return OppositeCategory(C)
 
 
-def functor_defect(F: QFunctor, sample: Iterable[tuple] | None = None) -> Any:
-    """Largest q at which F is a q-fuzzy functor.
-
-    Meet over object pairs of [hom(x, y), hom(Fx, Fy)]; unit means genuine.
-    sample is a list of pairs, or None for the exhaustive product.
-    """
+def functor_defect(F: QFunctor) -> Any:
+    """Largest q at which F is a q-fuzzy functor: the meet over all object
+    pairs of [hom(x, y), hom(Fx, Fy)]; unit means genuine."""
     Q = F.domain.quantale
-    if sample is None:
-        obs = F.domain.objects()
-        pairs: Iterable[tuple] = iproduct(obs, obs)
-    else:
-        pairs = sample
-    return Q.meet(Q.hom(F.domain.hom(x, y), F.codomain.hom(F(x), F(y))) for x, y in pairs)
+    obs = F.domain.objects()
+    return Q.meet(Q.hom(F.domain.hom(x, y), F.codomain.hom(F(x), F(y)))
+                  for x, y in iproduct(obs, obs))
 
 
-def is_functor(F: QFunctor, sample: Iterable[tuple] | None = None) -> bool:
+def is_functor(F: QFunctor) -> bool:
     Q = F.domain.quantale
-    return Q.eq(functor_defect(F, sample), Q.unit)
+    return Q.eq(functor_defect(F), Q.unit)
 
 
 def skeleton(C: FiniteQCategory) -> tuple[FiniteQCategory, dict]:

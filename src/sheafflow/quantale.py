@@ -349,11 +349,19 @@ class FinitePowersetQuantale(FiniteQuantale):
         return f"FinitePowersetQuantale({list(self.ground)!r})"
 
 
+_DESCRIPTOR_FIELDS = {"boolean": {"kind"}, "unit_interval": {"kind", "tnorm", "tolerance"},
+                      "lawvere_reals": {"kind", "tolerance"}, "finite_chain": {"kind", "n"},
+                      "finite_powerset": {"kind", "ground"}}
+
+
 def from_descriptor(desc: dict) -> Quantale:
-    """Build an instance from its serialized descriptor."""
+    """Build an instance from a descriptor that gives only the fields its kind reads."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise QuantaleError(f"quantale descriptor must be a dict with a 'kind' field, got {desc!r}")
     kind = desc["kind"]
+    unread = sorted(set(desc) - _DESCRIPTOR_FIELDS.get(kind, set(desc)))
+    if unread:
+        raise QuantaleError(f"a {kind} quantale does not read field {unread[0]!r}")
     tol = desc.get("tolerance")
     if tol is not None and not (isinstance(tol, (int, float)) and tol >= 0):
         raise QuantaleError(f"tolerance must be a nonnegative number, got {tol!r}")

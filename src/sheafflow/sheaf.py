@@ -12,6 +12,10 @@ the meet of those levels is the fuzziness of the transport Laplacian
 with f_w the restriction of the far endpoint and g_v the corestriction back
 into v.  Harmonic flow iterates x <- weighted meet of (Lx, x) weighted
 (omega1, omega2), that is omega1 -|> Lx  meet  omega2 -|> x.
+
+Operators (`laplacian`, `flow_step`) trust their inputs, since weighted meets
+keep a cochain in its stalks; entry points that take a caller's cochain
+(`harmonic_flow`, `is_fuzzy_global_section`, ...) check it once.
 """
 from __future__ import annotations
 
@@ -295,7 +299,6 @@ def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], Finit
 def laplacian(F: NetworkSheaf, W: Weighting, x: Cochain) -> Cochain:
     """At every vertex v, one weighted meet of the neighbours' transports
     g_v(f_w(x_w)) weighted W(v, w); the stalk top at isolated vertices."""
-    F.check_cochain(x)
     out = {}
     for v in F.graph.vertices:
         nbrs = F.graph.neighbors(v)
@@ -306,11 +309,12 @@ def laplacian(F: NetworkSheaf, W: Weighting, x: Cochain) -> Cochain:
 
 def flow_step(
     F: NetworkSheaf, W: Weighting, x: Cochain,
-    omega1: Callable | None = None, omega2: Callable | None = None,
+    omega1: Any = None, omega2: Any = None,
     Lx: Cochain | None = None,
 ) -> Cochain:
     """One damped diffusion update: at every vertex, the weighted meet of
-    (Lx_v, x_v) weighted (omega1, omega2), i.e. omega1 -|> Lx meet omega2 -|> x."""
+    (Lx_v, x_v) weighted (omega1, omega2), i.e. omega1 -|> Lx meet omega2 -|> x.
+    An omega is a per-vertex mapping, one value for all vertices, or None (unit)."""
     if Lx is None:
         Lx = laplacian(F, W, x)
     unit = F.quantale.unit
@@ -326,8 +330,6 @@ def flow_step(
 def _omega_fn(omega, unit):
     if omega is None:
         return lambda v: unit
-    if callable(omega):
-        return omega
     if isinstance(omega, Mapping):
         return lambda v: omega[v]
     return lambda v: omega  # constant
@@ -421,7 +423,6 @@ def harmonic_flow(
 
 def check_suffix_section_lemmas(
     F: NetworkSheaf, W: Weighting, q, cochains: Iterable[Cochain],
-    level=None,
 ) -> LawReport:
     """One-sided descent lemmas linking edge agreement to flow descent.
 
@@ -429,12 +430,12 @@ def check_suffix_section_lemmas(
     (b) hom(x, Lx) >= q forces edge homs >= W * level * q;
     (c) when the level is idempotent, membership at level * q is equivalent
         to edge homs >= W * level * q.
-    The recorded per-incidence adjunction levels must be at or above `level`;
-    the transposition inequality is re-verified on the pairs each cochain
-    actually induces, so a stale recorded level is caught rather than trusted.
+    The level is the sheaf's recorded one; the transposition inequality is
+    re-verified at it on the pairs each cochain actually induces, so a stale
+    recorded level is caught rather than trusted.
     """
     Q = F.quantale
-    eps = level if level is not None else F.level()
+    eps = F.level()
     rep = LawReport(title="suffix/section lemmas")
     idem = Q.eq(Q.mul(eps, eps), eps)
     for x in cochains:

@@ -13,11 +13,11 @@ those of a unit-weight diagram, and top and bottom the crisp meet and join
 of nothing.  Enumerable lattices locate the representing object by one
 universal-property search with a lowest-identifier tie-break; analytic
 lattices assemble a weighted meet from registered closed forms as the crisp
-meet of the cotensors W(c) -|> S(c) (dually for joins).
+meet of the cotensors W(c) -|> S(c) (dually for joins), and check no output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Any, Callable, Iterable
 
@@ -207,53 +207,36 @@ class AnalyticOps:
     crisp_meet: Callable[[list], Any]
     crisp_join: Callable[[list], Any]
     sampler: Callable[[Random], Any]
-    validate: Callable[[Any], Any] | None = None
 
     def swapped(self) -> "AnalyticOps":
-        return AnalyticOps(
-            tensor=self.cotensor,
-            cotensor=self.tensor,
-            crisp_meet=self.crisp_join,
-            crisp_join=self.crisp_meet,
-            sampler=self.sampler,
-            validate=self.validate,
-        )
+        return replace(self, tensor=self.cotensor, cotensor=self.tensor,
+                       crisp_meet=self.crisp_join, crisp_join=self.crisp_meet)
 
 
 class AnalyticLattice(WeightedLattice):
     """Weighted meets (joins) as the closed-form crisp meet of cotensors (join
-    of tensors), validated once when a validator is registered."""
+    of tensors); a closed form keeps its outputs in the carrier or raises."""
 
     def __init__(self, category: QCategory, ops: AnalyticOps):
         self.category = category
         self.quantale = category.quantale
         self.ops = ops
 
-    def _out(self, val):
-        if self.ops.validate is not None:
-            val = self.ops.validate(val)
-        return val
-
     def weighted_meet(self, D):
         ops = self.ops
-        return self._out(ops.crisp_meet(list(map(ops.cotensor, D.weights, D.objects))))
+        return ops.crisp_meet(list(map(ops.cotensor, D.weights, D.objects)))
 
     def weighted_join(self, D):
         ops = self.ops
-        return self._out(ops.crisp_join(list(map(ops.tensor, D.weights, D.objects))))
+        return ops.crisp_join(list(map(ops.tensor, D.weights, D.objects)))
 
     def sample_object(self, rng):
         return self.ops.sampler(rng)
 
 
 def _underline_ops(Q: Quantale) -> AnalyticOps:
-    return AnalyticOps(
-        tensor=Q.mul,
-        cotensor=Q.hom,
-        crisp_meet=Q.meet,
-        crisp_join=Q.join,
-        sampler=Q.sample,
-    )
+    return AnalyticOps(tensor=Q.mul, cotensor=Q.hom, crisp_meet=Q.meet, crisp_join=Q.join,
+                       sampler=Q.sample)
 
 
 def _power_ops(Q: Quantale, m: int, op: bool) -> AnalyticOps:

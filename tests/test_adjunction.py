@@ -96,6 +96,20 @@ def test_perturbed_report_flags_oversized_noise():
     assert any(v.law == "perturbation-within-q" for v in rep.violations)
 
 
+@pytest.mark.parametrize("q, flagged", [(0.5, []), (0.4, []),
+                                       (0.3, ["perturbation-within-q", "perturbed-defect-clears-q"])])
+def test_perturbed_right_leg(q, flagged):
+    # delay every coordinate of the min-plus transpose by 0.4
+    A = ((1.0, 3.0), (2.0, 1.0))
+    Q, cat, F, G = _maxplus_pair(A)
+    Gt = QFunctor(cat, cat, lambda y: tuple(c + 0.4 for c in G(y)), name="transpose~")
+    rng = random.Random(6)
+    xs = [tuple(rng.uniform(0, 8) for _ in range(2)) for _ in range(10)]
+    sample = [(x, F(y)) for x in xs for y in xs]
+    rep = perturbed_adjunction(F, G, Gt, q, sample, perturbed="right")
+    assert [v.law for v in rep.violations] == flagged, rep.summary()
+
+
 def test_synthesize_right_adjoint_boolean():
     Q = BooleanQuantale()
     C = UnderlineQ(Q)

@@ -1,9 +1,15 @@
 """Command-line driver: outputs, determinism, and exit codes."""
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from sheafflow.cli import main
+from sheafflow.apps.des import DesSystem, des_sheaf
+from sheafflow.cli import _parser, main
+from sheafflow.sheaf import Graph, harmonic_flow
 
 
 def _run(tmp_path, *argv):
@@ -165,6 +171,23 @@ def _set(path, value):
     return edit
 
 
+def _maxplus_sheaf(**changes):
+    """A two-vertex sheaf over timing stalks (presheaf_power, m = 2, op) with
+    max_plus restrictions and derived corestrictions, then `changes`."""
+    def edit(payload):
+        payload.clear()
+        payload.update({
+            "kind": "sheaf", "quantale": {"kind": "lawvere_reals"},
+            "vertices": ["a", "b"], "edges": [["a", "b"]],
+            "stalk": {"kind": "presheaf_power", "m": 2, "op": True},
+            "restrictions": {"a|a,b": {"kind": "max_plus", "delays": [[1, 3], [2, 1]]},
+                             "b|a,b": {"kind": "max_plus", "delays": [[0, 2], [1, 0]]}},
+            "initial": {"a": [9, 7], "b": [8, 8]}})
+        for path, value in changes.items():
+            _set(tuple(path.split("/")), value)(payload)
+    return edit
+
+
 # inputs that only per-operation carrier checks caught before values were
 # checked once at the loaders: each must be rejected by the loader itself
 PROBES = {
@@ -201,6 +224,42 @@ PROBES = {
     "prefs-edge-one-end": ("prefs", "prefs_chain.json", _set(("edges", 0), ["p"]), "'edges'"),
     "quantale-a-string": ("flow", "k3_circulant.json", _set(("quantale",), "lawvere_reals"),
                           "'quantale'"),
+    # fields that no loader reads, which were silently ignored
+    **{f"unknown-field-{name}": (command, name, _set(("bogus_field",), 1), "'bogus_field'")
+       for command, name in [("validate", "category_chain3.json"), ("des", "des_line.json"),
+                             ("flow", "k3_circulant.json"), ("paths", "paths_small.json"),
+                             ("prefs", "prefs_chain.json"), ("verify", "quantale_chain4.json"),
+                             ("validate", "quantale_lukasiewicz.json"),
+                             ("sections", "sheaf_bool_edge.json")]},
+    "paths-weighting": ("paths", "paths_small.json", _set(("weighting",), {"constant": 1}),
+                        "'weighting'"),
+    "des-stalk": ("des", "des_line.json", _set(("stalk",), {"kind": "underline"}), "'stalk'"),
+    "identity-map-with-c": ("flow", "k3_circulant.json",
+                            _set(("restrictions", "1|1,3"), {"kind": "identity", "c": 3}), "'c'"),
+    "stalk-unknown-field": ("flow", "k3_circulant.json",
+                            _set(("stalk",), {"kind": "underline", "m": 2}), "'m'"),
+    "weighting-constant-and-pairs": ("flow", "k3_circulant.json",
+                                     _set(("weighting",), {"constant": 0.0,
+                                                           "pairs": [["1", "2", 1.0]]}),
+                                     "'weighting'"),
+    "weighting-unknown-field": ("flow", "k3_circulant.json",
+                                _set(("weighting",), {"constant": 0.0, "scale": 2}), "'scale'"),
+    "category-unknown-field": ("validate", "category_chain3.json", _set(("category", "n"), 3),
+                               "'n'"),
+    "finite-quantale-tolerance": ("validate", "quantale_chain4.json",
+                                  _set(("quantale", "tolerance"), 0.1), "'tolerance'"),
+    "power-op-a-string": ("flow", "k3_circulant.json", _maxplus_sheaf(**{"stalk/op": "yes"}),
+                          "'op'"),
+    "power-op-a-number": ("flow", "k3_circulant.json", _maxplus_sheaf(**{"stalk/op": 0}), "'op'"),
+    "paths-duplicate-vertices": ("paths", "paths_small.json",
+                                 _set(("vertices",), ["s", "s", "a", "zz"]), "'vertices'"),
+    # a delay matrix that does not map 2 events to 2 events
+    "maxplus-delays-2x3": ("flow", "k3_circulant.json",
+                           _maxplus_sheaf(**{"restrictions/a|a,b/delays": [[1, 3, 0], [2, 1, 0]]}),
+                           "'restrictions'"),
+    "maxplus-delays-3x2": ("flow", "k3_circulant.json",
+                           _maxplus_sheaf(**{"restrictions/a|a,b/delays": [[1, 3], [2, 1], [0, 0]]}),
+                           "'restrictions'"),
 }
 
 
@@ -298,3 +357,41 @@ def test_verify_surfaces_generator_faults(monkeypatch, fixture_path):
     monkeypatch.setattr("sheafflow.cli.random_cochain", broken)
     with pytest.raises(RuntimeError):
         main(["verify", "--input", fixture_path("sheaf_bool_edge.json")])
+
+
+def test_maxplus_sheaf_input_flows_like_the_des_sheaf(tmp_path, fixture_path):
+    # max_plus restrictions over op power stalks, min-plus corestrictions
+    # derived: the DES sheaf of the same delays, with unit weights
+    code, lines = _run(tmp_path, "flow", "--input",
+                       _variant(tmp_path, fixture_path, "k3_circulant.json", _maxplus_sheaf()))
+    assert code == 0 and _records(lines, "summary")[-1]["status"] == "converged"
+    system = DesSystem(m=2, delays={"a": [[1, 3], [2, 1]], "b": [[0, 2], [1, 0]]},
+                       graph=Graph.build(["a", "b"], [("a", "b")]))
+    F, W = des_sheaf(system)
+    want = [step.cochain for step in harmonic_flow(F, W, {"a": (9, 7), "b": (8, 8)}).iterations]
+    assert [{v: tuple(x) for v, x in r["cochain"].items()}
+            for r in _records(lines, "iteration")] == want
+
+
+def test_closed_stdout_exits_one_without_a_traceback(fixture_path):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sheafflow.cli", "des", "--input", fixture_path("des_line.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    proc.stdout.close()  # long before the child writes its first record
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
+             for m in re.finditer(r"^\| `(\w+)` +\|[^|]*\|([^|]*)\|$", readme, re.M)}
+    subparsers = next(a for a in _parser()._actions if a.choices and a.dest == "command")
+    parser = {name: {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+              - {"--help", "--input", "--output", "--seed"}
+              for name, sp in subparsers.choices.items()}
+    assert table == parser

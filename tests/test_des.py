@@ -10,7 +10,7 @@ from sheafflow.apps.des import (
     minplus_transpose_apply, perturbed_des_sheaf,
 )
 from sheafflow.sheaf import (
-    Graph, check_suffix_section_lemmas, harmonic_flow, laplacian,
+    Graph, SheafError, check_suffix_section_lemmas, harmonic_flow, laplacian,
 )
 
 
@@ -155,3 +155,11 @@ def test_descent_lemmas_one_sided_on_perturbed_sheaf():
     ]
     rep = check_suffix_section_lemmas(F, W, 1.0, cochains)
     assert rep.ok, rep.violations[:3]
+
+
+def test_closed_form_crosscheck_checks_its_cochains():
+    sys_ = _line_system()
+    F, W = des_sheaf(sys_)
+    assert closed_form_crosscheck(sys_, F, W, [INITIAL]).checks == 6
+    with pytest.raises(SheafError, match="not in the stalk"):
+        closed_form_crosscheck(sys_, F, W, [{**INITIAL, "b": (8.0,)}])

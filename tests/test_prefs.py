@@ -187,3 +187,15 @@ def test_bounded_confidence_zero_update_for_distant_neighbor():
     assert tr.status == "converged"
     assert tr.final["r"] == x0["r"]  # distrustful vertex never moves
     assert tr.final["p"] == tr.final["q"] == C.discrete()
+
+
+def test_cotensor_by_a_non_idempotent_weight_raises_naming_it():
+    # over the product t-norm, [0.5, -] breaks P(x,y) * P(y,z) <= P(x,z) here
+    Q = UnitIntervalQuantale("product")
+    L = preference_lattice(Q, ALTS)
+    P = ((1.0, 0.4, 0.16), (0.0, 1.0, 0.4), (0.0, 0.0, 1.0))
+    assert L.category.has_object(P)
+    with pytest.raises(ClosureError, match="0.5"):
+        L.cotensor(0.5, P)
+    for q in (0.0, 1.0):  # idempotent weights keep it transitive
+        assert L.category.has_object(L.cotensor(q, P))
