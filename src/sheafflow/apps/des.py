@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..qcat import PresheafPower, QFunctor
+from ..qcat import OppositeCategory, PresheafPower, QFunctor
 from ..quantale import LawvereRealsQuantale
 from ..report import LawReport
 from ..sheaf import Graph, NetworkSheaf, Weighting, laplacian
@@ -90,7 +90,7 @@ def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
     level is an estimate, not a certificate (see NetworkSheaf).
     """
     R = LawvereRealsQuantale()
-    cat = PresheafPower(R, sys.m, op=True)
+    cat = OppositeCategory(PresheafPower(R, sys.m))
     ops = analytic_ops_for(cat)
     span = sys.span()
 

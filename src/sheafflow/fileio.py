@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, IO, Mapping
+from typing import Any, Callable, IO, Iterable, Mapping
 
 from .apps.des import DesSystem, minplus_transpose_apply, maxplus_apply, _sub_clipped
 from .apps.prefs import PreferenceCategory
@@ -86,11 +86,12 @@ def _object(v: Any, where: str) -> dict:
     return _expect(isinstance(v, dict), v, where, "a JSON object")
 
 
-def _fields(v: Any, known: str, where: str) -> dict:
-    """A JSON object whose every key is one of the space-separated `known`."""
-    unread = sorted(set(_object(v, where)) - set(known.split()))
+def _fields(v: Any, known: Iterable[str], where: str) -> dict:
+    """A JSON object whose every key is one of `known`."""
+    unread = sorted(set(_object(v, where)) - set(known))
     if unread:
-        raise InputFormatError(f"{where} has unknown field {unread[0]!r}; it reads: {known}")
+        raise InputFormatError(
+            f"{where} has unknown field {unread[0]!r}; it reads: {' '.join(known)}")
     return v
 
 
@@ -98,7 +99,7 @@ def _kind(desc: Any, fields: Mapping[str, str], where: str) -> str:
     """The 'kind' of a JSON object that gives only 'kind' and fields[kind]."""
     kind = _need(_object(desc, where), "kind", where)
     _expect(kind in tuple(fields), kind, f"field 'kind' in {where}", f"one of {tuple(fields)}")
-    _fields(desc, "kind " + fields[kind], where)
+    _fields(desc, ["kind", *fields[kind].split()], where)
     return kind
 
 
@@ -156,13 +157,14 @@ def _in_carrier(Q: Quantale, values: list, where: str) -> list:
     return values
 
 
-def _vertices(v: Any) -> list[str]:
-    names = [_name(x, "field 'vertices'") for x in _list(v, "field 'vertices'")]
-    return _expect(len(set(names)) == len(names), names, "field 'vertices'", "distinct names")
+def _names(v: Any, field: str) -> list[str]:
+    where = f"field {field!r}"
+    names = [_name(x, where) for x in _list(v, where)]
+    return _expect(len(set(names)) == len(names), names, where, "distinct names")
 
 
 def _graph(payload: Mapping, where: str) -> Graph:
-    vertices = _vertices(_need(payload, "vertices", where))
+    vertices = _names(_need(payload, "vertices", where), "vertices")
     edges = [(_name(v, "field 'edges'"), _name(w, "field 'edges'"))
              for v, w in _tuples(_need(payload, "edges", where), "field 'edges'", "[v, w]")]
     try:
@@ -214,7 +216,8 @@ def build_stalk(Q: Quantale, desc: Any):
         m = _integer(_need(desc, "m", "presheaf_power stalk"), "field 'stalks', 'm'", 1)
         op = desc.get("op", False)
         _expect(isinstance(op, bool), op, "field 'stalks', 'op'", "true or false")
-        return lattice_for(PresheafPower(Q, m, op=op))
+        power = PresheafPower(Q, m)
+        return lattice_for(OppositeCategory(power) if op else power)
     return lattice_for(_finite_category(Q, desc, "stalks"))
 
 
@@ -282,7 +285,7 @@ def load_weighting(payload: Mapping, graph: Graph, Q: Quantale, where: str) -> W
     if desc is None:
         return Weighting(graph, Q)
     field = "field 'weighting'"
-    _expect(len(_fields(desc, "constant pairs", field)) == 1, desc, field,
+    _expect(len(_fields(desc, ["constant", "pairs"], field)) == 1, desc, field,
             "an object with one of 'constant' or 'pairs'")
     try:
         if "constant" in desc:
@@ -303,7 +306,8 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
     graph = _graph(payload, "sheaf input")
 
     default_stalk = payload.get("stalk")
-    stalks = _object(payload.get("stalks", {}), "field 'stalks'")
+    stalks = _fields(payload.get("stalks", {}), [*graph.vertices, *map(_edge_key, graph.edges)],
+                     "field 'stalks'")
 
     def stalk(key):
         desc = stalks.get(key, default_stalk)
@@ -314,21 +318,20 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
     vertex_lats = {v: stalk(v) for v in graph.vertices}
     edge_lats = {e: stalk(_edge_key(e)) for e in graph.edges}
 
-    rest_desc = _object(_need(payload, "restrictions", "sheaf input"), "field 'restrictions'")
-    corest_desc = _object(payload.get("corestrictions", {}), "field 'corestrictions'")
+    incidences = {f"{v}|{_edge_key(e)}": (v, e) for e in graph.edges for v in e}
+    rest_desc = _fields(_need(payload, "restrictions", "sheaf input"), incidences,
+                        "field 'restrictions'")
+    corest_desc = _fields(payload.get("corestrictions", {}), incidences, "field 'corestrictions'")
     restrictions, corestrictions = {}, {}
-    for e in graph.edges:
-        for v in e:
-            key = f"{v}|{_edge_key(e)}"
-            _need(rest_desc, key, "field 'restrictions'")
-            restrictions[(v, e)] = _build_map(
-                rest_desc[key], vertex_lats[v], edge_lats[e], key, "restrictions")
-            if key in corest_desc:
-                corestrictions[(e, v)] = _build_map(
-                    corest_desc[key], edge_lats[e], vertex_lats[v], key, "corestrictions")
-            else:
-                corestrictions[(e, v)] = derive_corestriction(
-                    rest_desc[key], restrictions[(v, e)], edge_lats[e], vertex_lats[v], key)
+    for key, (v, e) in incidences.items():
+        restrictions[(v, e)] = _build_map(_need(rest_desc, key, "field 'restrictions'"),
+                                          vertex_lats[v], edge_lats[e], key, "restrictions")
+        if key in corest_desc:
+            corestrictions[(e, v)] = _build_map(
+                corest_desc[key], edge_lats[e], vertex_lats[v], key, "corestrictions")
+        else:
+            corestrictions[(e, v)] = derive_corestriction(
+                rest_desc[key], restrictions[(v, e)], edge_lats[e], vertex_lats[v], key)
 
     try:
         F = NetworkSheaf(graph, Q, vertex_lats, edge_lats, restrictions, corestrictions)
@@ -373,7 +376,7 @@ def load_paths(payload: Mapping) -> tuple[list, Any, list | None]:
     _expect(all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs), edges, where,
             "edges between two distinct vertices, each given once")
     source = _name(_need(payload, "source", "paths input"), "field 'source'")
-    vertices = _vertices(payload["vertices"]) if "vertices" in payload else None
+    vertices = _names(payload["vertices"], "vertices") if "vertices" in payload else None
     _expect(source in {x for e in edges for x in e[:2]}.union(vertices or ()), source,
             "field 'source'", "a vertex")
     return edges, source, vertices
@@ -381,8 +384,7 @@ def load_paths(payload: Mapping) -> tuple[list, Any, list | None]:
 
 def load_prefs(payload: Mapping) -> dict:
     Q = load_quantale(payload)
-    alternatives = [_name(a, "field 'alternatives'")
-                    for a in _list(_need(payload, "alternatives", "prefs input"), "field 'alternatives'")]
+    alternatives = _names(_need(payload, "alternatives", "prefs input"), "alternatives")
     try:
         cat = PreferenceCategory(Q, alternatives)
     except QCategoryError as exc:
@@ -416,7 +418,8 @@ def load_prefs(payload: Mapping) -> dict:
 
 def load_category(payload: Mapping) -> FiniteQCategory:
     Q = load_quantale(payload)
-    desc = _fields(_need(payload, "category", "category input"), "objects hom", "field 'category'")
+    desc = _fields(_need(payload, "category", "category input"), ["objects", "hom"],
+                   "field 'category'")
     return _finite_category(Q, desc, "category")
 
 

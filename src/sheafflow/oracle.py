@@ -12,6 +12,7 @@ import math
 from itertools import product as iproduct
 from typing import Any, Iterable, Mapping, Sequence
 
+from .qcat import object_sort_key
 from .quantale import (
     LawvereRealsQuantale,
     Quantale,
@@ -110,7 +111,7 @@ def _scan_universal(L: WeightedLattice, D: WeightedDiagram, kind: str) -> list:
             found.append(c)
     if not found:
         raise NoSuchObject(f"brute scan: no weighted {kind} for the diagram")
-    return sorted(found, key=L.object_key)
+    return sorted(found, key=object_sort_key)
 
 
 def brute_weighted_meet(L: WeightedLattice, D: WeightedDiagram) -> list:

@@ -197,18 +197,17 @@ class ProductCategory(QCategory):
 
 
 class PresheafPower(QCategory):
-    """Length-m tuples of quantale elements, hom computed coordinatewise.
+    """Length-m tuples of quantale elements, hom(x, y) = meet_i [x_i, y_i].
 
-    With op=False, hom(x, y) = meet_i [x_i, y_i]; with op=True the arguments
-    swap, which for extended-real costs gives hom(x, y) = max_i (x_i - y_i)_+.
+    Its opposite, OppositeCategory(PresheafPower(Q, m)), swaps the arguments,
+    which for extended-real costs gives hom(x, y) = max_i (x_i - y_i)_+.
     """
 
-    def __init__(self, quantale: Quantale, m: int, op: bool = False):
+    def __init__(self, quantale: Quantale, m: int):
         if not isinstance(m, int) or m < 1:
             raise QCategoryError("power size must be a positive integer")
         self.quantale = quantale
         self.m = m
-        self.op = op
 
     @property
     def is_enumerable(self):
@@ -224,12 +223,10 @@ class PresheafPower(QCategory):
 
     def hom(self, x, y):
         Q = self.quantale
-        if self.op:
-            x, y = y, x
         return Q.meet(Q.hom(a, b) for a, b in zip(x, y))
 
     def __repr__(self):
-        return f"PresheafPower({self.quantale.kind}, m={self.m}, op={self.op})"
+        return f"PresheafPower({self.quantale.kind}, m={self.m})"
 
 
 class QFunctor:
@@ -255,11 +252,6 @@ class QFunctor:
     @classmethod
     def identity(cls, category: QCategory) -> "QFunctor":
         return cls(category, category, lambda x: x, name="id")
-
-    def compose(self, inner: "QFunctor") -> "QFunctor":
-        """self after inner."""
-        return QFunctor(inner.domain, self.codomain, lambda x: self(inner(x)),
-                        name=f"{self.name}.{inner.name}")
 
     def __repr__(self):
         return f"QFunctor({self.name})"

@@ -19,7 +19,6 @@ keep a cochain in its stalks; entry points that take a caller's cochain
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from random import Random
@@ -27,7 +26,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .adjunction import adjunction_defect
 from .qcat import FiniteQCategory, QCategoryError, QFunctor, object_sort_key
-from .quantale import LawvereRealsQuantale, Quantale
+from .quantale import Quantale
 from .report import LawReport
 from .wlattice import WeightedDiagram, WeightedLattice
 
@@ -137,7 +136,10 @@ class NetworkSheaf:
     only err upward, not a certificate: the Laplacian feeds g_v the far
     endpoint's images f_w(x_w), which are not sampled and may hold the
     adjunction only at a lower level.  A transport that fails on its stalk,
-    or carries an object out of it, raises SheafError.
+    or carries an object out of it, raises SheafError.  Transports are
+    assumed to be enriched functors (for Lawvere costs, nonexpansive maps), so
+    a harmonic flow ends `converged` or, also when it grows without bound,
+    `max_iter_reached`.
     """
 
     def __init__(
@@ -344,8 +346,11 @@ class FlowStep:
 
 @dataclass
 class FlowTrace:
+    """The iterates of a flow whose transports are enriched functors, and its
+    stop: `converged`, or `max_iter_reached`, also when it grows without bound."""
+
     iterations: list[FlowStep] = field(default_factory=list)
-    status: str = "max_iter_reached"  # converged | max_iter_reached | diverging
+    status: str = "max_iter_reached"  # converged | max_iter_reached
     converged_at: int | None = None
 
     @property
@@ -357,18 +362,6 @@ class FlowTrace:
         return self.status == "converged"
 
 
-def _magnitude(obj) -> float | None:
-    if isinstance(obj, (int, float)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, tuple) and all(isinstance(c, (int, float)) for c in obj):
-        finite = [float(c) for c in obj if math.isfinite(c)]
-        return max(finite) if finite else None
-    return None
-
-
-_DIVERGENCE_WINDOW = 5
-
-
 def harmonic_flow(
     F: NetworkSheaf, W: Weighting, x0: Cochain, *,
     max_iter: int = 200,
@@ -377,37 +370,23 @@ def harmonic_flow(
 ) -> FlowTrace:
     """Iterate the damped diffusion update and record the trajectory.
 
+    It ends `converged` at the first step that changes no vertex up to
+    isomorphism, else `max_iter_reached`, which is also how a flow that grows
+    without bound (k3's circulant shift) ends.  Transports are assumed to be
+    enriched functors (for Lawvere costs, nonexpansive maps), so with fixed
+    weights and omegas the suffix level hom(x_t, Lx_t) never decreases.
+
     omega_schedule(t, x) -> (omega1, omega2) lets callers freeze or release
     vertices over time; weight_schedule(t, x) recomputes the weighting from
-    the current state.  Divergence is only flagged for extended-real stalks:
-    the suffix level must strictly degrade for five straight steps while
-    finite component magnitudes grow.
+    the current state.
     """
-    Q = F.quantale
     F.check_cochain(x0)
     trace = FlowTrace()
     x = x0
-    lawvere = isinstance(Q, LawvereRealsQuantale)
-    degrade_run = 0
-    prev_suffix = None
-    prev_mag = None
     for t in range(max_iter + 1):
         Wt = weight_schedule(t, x) if weight_schedule is not None else W
         Lx = laplacian(F, Wt, x)
-        suffix = cochain_hom(F, x, Lx)
-        trace.iterations.append(FlowStep(t, x, suffix))
-        if lawvere:
-            mag = max((m for m in (_magnitude(x[v]) for v in F.graph.vertices) if m is not None),
-                      default=None)
-            if prev_suffix is not None:
-                strictly_worse = Q.leq(suffix, prev_suffix) and not Q.eq(suffix, prev_suffix)
-                growing = mag is not None and prev_mag is not None and mag > prev_mag
-                degrade_run = degrade_run + 1 if (strictly_worse and growing) else 0
-                if degrade_run >= _DIVERGENCE_WINDOW:
-                    trace.status = "diverging"
-                    return trace
-            prev_mag = mag
-        prev_suffix = suffix
+        trace.iterations.append(FlowStep(t, x, cochain_hom(F, x, Lx)))
         if t == max_iter:
             break
         omega1, omega2 = omega_schedule(t, x) if omega_schedule is not None else (None, None)
@@ -417,7 +396,6 @@ def harmonic_flow(
             trace.converged_at = t
             return trace
         x = nxt
-    trace.status = "max_iter_reached"
     return trace
 
 

@@ -117,9 +117,6 @@ class WeightedLattice:
     def sample_object(self, rng: Random) -> Any:
         raise NotImplementedError
 
-    def object_key(self, x) -> str:
-        return object_sort_key(x)
-
     def _toward(self, kind: str) -> Callable[[Any, Any], Any]:
         """The hom both sides of the weighted-`kind` universal property read at
         a probe x: hom(x, -) for a meet, hom(-, x) for a join."""
@@ -239,18 +236,17 @@ def _underline_ops(Q: Quantale) -> AnalyticOps:
                        sampler=Q.sample)
 
 
-def _power_ops(Q: Quantale, m: int, op: bool) -> AnalyticOps:
+def _power_ops(Q: Quantale, m: int) -> AnalyticOps:
     def pointwise(f):
         return lambda q, x: tuple(f(q, c) for c in x)
 
-    base = AnalyticOps(
+    return AnalyticOps(
         tensor=pointwise(Q.mul),
         cotensor=pointwise(Q.hom),
         crisp_meet=lambda objs: tuple(Q.meet(o[i] for o in objs) for i in range(m)),
         crisp_join=lambda objs: tuple(Q.join(o[i] for o in objs) for i in range(m)),
         sampler=lambda rng: tuple(Q.sample(rng) for _ in range(m)),
     )
-    return base.swapped() if op else base
 
 
 def analytic_ops_for(category: QCategory) -> AnalyticOps | None:
@@ -261,7 +257,7 @@ def analytic_ops_for(category: QCategory) -> AnalyticOps | None:
     if isinstance(category, UnderlineQ):
         return _underline_ops(category.quantale)
     if isinstance(category, PresheafPower):
-        return _power_ops(category.quantale, category.m, category.op)
+        return _power_ops(category.quantale, category.m)
     if isinstance(category, OppositeCategory):
         inner = analytic_ops_for(category.base)
         return inner.swapped() if inner is not None else None

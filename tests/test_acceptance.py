@@ -31,7 +31,7 @@ from sheafflow.oracle import (
     brute_weighted_join, brute_weighted_meet, classic_shortest_paths,
     grid_residual,
 )
-from sheafflow.qcat import PresheafPower, QFunctor
+from sheafflow.qcat import OppositeCategory, PresheafPower, QFunctor
 from sheafflow.quantale import (
     BooleanQuantale, FiniteChainQuantale, FinitePowersetQuantale,
     LawvereRealsQuantale, UnitIntervalQuantale, check_quantale_laws,
@@ -197,7 +197,7 @@ def test_criterion_05_fuzzy_lemmas_and_perturbation():
 
     # perturbing one leg of an exact adjunction by q keeps a q-adjunction
     R = LawvereRealsQuantale()
-    cat = PresheafPower(R, 2, op=True)
+    cat = OppositeCategory(PresheafPower(R, 2))
     A = ((1.0, 3.0), (2.0, 1.0))
     F = QFunctor(cat, cat, lambda x: maxplus_apply(A, x), name="maxplus")
     G = QFunctor(cat, cat, lambda y: minplus_transpose_apply(A, y), name="transpose")

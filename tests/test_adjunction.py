@@ -17,7 +17,7 @@ from sheafflow.adjunction import (
 )
 from sheafflow.apps.des import maxplus_apply, minplus_transpose_apply
 from sheafflow.gen import random_adjoint_pair, random_diagram, random_lattice
-from sheafflow.qcat import PresheafPower, QFunctor, UnderlineQ, is_functor
+from sheafflow.qcat import OppositeCategory, PresheafPower, QFunctor, UnderlineQ, is_functor
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
@@ -28,7 +28,7 @@ from sheafflow.wlattice import EnumerableLattice, WeightedDiagram
 
 def _maxplus_pair(A):
     Q = LawvereRealsQuantale()
-    cat = PresheafPower(Q, len(A), op=True)
+    cat = OppositeCategory(PresheafPower(Q, len(A)))
     F = QFunctor(cat, cat, lambda x: maxplus_apply(A, x), name="maxplus")
     G = QFunctor(cat, cat, lambda y: minplus_transpose_apply(A, y), name="transpose")
     return Q, cat, F, G
@@ -163,7 +163,7 @@ def test_interchange_at_unit_level(rng):
 
 def test_functor_distance_identity_zero_cost():
     Q = LawvereRealsQuantale()
-    cat = PresheafPower(Q, 2, op=True)
+    cat = OppositeCategory(PresheafPower(Q, 2))
     F = QFunctor(cat, cat, lambda x: x, name="id")
     G = QFunctor(cat, cat, lambda x: (x[0] + 0.25, x[1]), name="nudge")
     xs = [(0.0, 0.0), (1.0, 2.0)]

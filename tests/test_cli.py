@@ -253,6 +253,17 @@ PROBES = {
     "power-op-a-number": ("flow", "k3_circulant.json", _maxplus_sheaf(**{"stalk/op": 0}), "'op'"),
     "paths-duplicate-vertices": ("paths", "paths_small.json",
                                  _set(("vertices",), ["s", "s", "a", "zz"]), "'vertices'"),
+    "prefs-duplicate-alternatives": ("prefs", "prefs_chain.json",
+                                     _set(("alternatives",), ["x", "x", "z"]), "'alternatives'"),
+    # keyed maps whose keys name no vertex, edge or incidence of the graph
+    "restriction-off-graph": ("flow", "k3_circulant.json",
+                              _set(("restrictions", "9|9,9"), {"kind": "identity"}),
+                              "'restrictions'"),
+    "corestriction-off-graph": ("flow", "k3_circulant.json",
+                                _set(("corestrictions",), {"1|2,3": {"kind": "identity"}}),
+                                "'corestrictions'"),
+    "stalk-off-graph": ("flow", "k3_circulant.json",
+                        _set(("stalks",), {"zz": {"kind": "underline"}}), "'stalks'"),
     # a delay matrix that does not map 2 events to 2 events
     "maxplus-delays-2x3": ("flow", "k3_circulant.json",
                            _maxplus_sheaf(**{"restrictions/a|a,b/delays": [[1, 3, 0], [2, 1, 0]]}),

@@ -63,7 +63,7 @@ def test_product_hom_is_meet():
 def test_presheaf_power_hom_plain_and_op():
     Q = LawvereRealsQuantale()
     plain = PresheafPower(Q, 2)
-    op = PresheafPower(Q, 2, op=True)
+    op = OppositeCategory(plain)
     x, y = (1.0, 4.0), (3.0, 3.0)
     # plain: meet of coordinate residuals [x_i, y_i]
     assert plain.hom(x, y) == Q.meet2(Q.hom(1.0, 3.0), Q.hom(4.0, 3.0))
@@ -103,16 +103,8 @@ def test_functor_defect_graded():
     assert functor_defect(G) == pytest.approx(1.0)
 
 
-def test_functor_compose_and_identity():
-    Q = FiniteChainQuantale(3)
-    C = UnderlineQ(Q)
-    F = QFunctor(C, C, {0: 0, 1: 1, 2: 1}, name="cap")
-    G = QFunctor(C, C, {0: 1, 1: 2, 2: 2}, name="up")
-    H = F.compose(G)  # apply G then F? fixed convention checked below
-    vals = {x: H(x) for x in (0, 1, 2)}
-    assert vals in ({0: 1, 1: 1, 2: 1}, {0: 0, 1: 1, 2: 1},
-                    {0: 1, 1: 2, 2: 2})  # whichever convention, must be a functor
-    assert is_functor(H)
+def test_functor_identity():
+    C = UnderlineQ(FiniteChainQuantale(3))
     ident = QFunctor.identity(C)
     assert all(ident(x) == x for x in (0, 1, 2))
 

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from sheafflow.apps.des import DesSystem, des_sheaf
+from sheafflow.fileio import load_sheaf
 from sheafflow.gen import all_cochains, random_cochain, random_crisp_sheaf
 from sheafflow.qcat import QFunctor, UnderlineQ
 from sheafflow.quantale import (
@@ -275,3 +277,82 @@ def test_laplacian_and_flow_step_are_crisp_meets_of_cotensors():
             assert step == {v: F.vertex_lattices[v].crisp_meet(
                 [F.vertex_lattices[v].cotensor(w1, Lx[v]),
                  F.vertex_lattices[v].cotensor(w2, x[v])]) for v in F.graph.vertices}
+
+
+def _suffix_degrades(trace, Q) -> bool:
+    """Does the suffix level hom(x_t, Lx_t) ever strictly decrease?"""
+    levels = [s.suffix_level for s in trace.iterations]
+    return any(Q.leq(b, a) and not Q.eq(b, a) for a, b in zip(levels, levels[1:]))
+
+
+def _affine_sheaf(rng, stalk):
+    """A seeded sheaf input with affine-shift restrictions, derived unshift
+    corestrictions, weights 0-3 and some infinite starting values."""
+    n = rng.randint(2, 4)
+    verts = [f"v{i}" for i in range(n)]
+    edges = [[verts[rng.randrange(i)], verts[i]] for i in range(1, n)]
+    if [verts[0], verts[-1]] not in edges and rng.random() < 0.5:
+        edges.append([verts[0], verts[-1]])
+    return load_sheaf({
+        "kind": "sheaf", "quantale": {"kind": "lawvere_reals"}, "vertices": verts,
+        "edges": edges, "stalk": {"kind": stalk},
+        "restrictions": {f"{v}|{','.join(sorted(e))}": {"kind": "affine_shift",
+                                                        "c": float(rng.randint(0, 3))}
+                         for e in edges for v in e},
+        "weighting": {"pairs": [[v, w, float(rng.randint(0, 3))] for v, w in edges]},
+        "initial": {v: "inf" if rng.random() < 0.2 else float(rng.randint(0, 10))
+                    for v in verts}})
+
+
+def _des_system(rng, weighted):
+    n = rng.randint(3, 6)
+    g = Graph.build([f"d{i}" for i in range(n)],
+                    [(f"d{rng.randrange(i)}", f"d{i}") for i in range(1, n)])
+    m = rng.randint(2, 3)
+    c = float(rng.randint(1, 2))
+    system = DesSystem(m, {v: [[rng.randint(0, 3) for _ in range(m)] for _ in range(m)]
+                           for v in g.vertices}, g,
+                       {(v, w): c for v, w, _ in g.adjacent_pairs()} if weighted else None)
+    return system, {v: tuple(float(rng.randint(0, 24)) for _ in range(m)) for v in g.vertices}
+
+
+def test_suffix_level_never_degrades_under_enriched_transports():
+    """With fixed weights and enriched transports, one flow step is an enriched
+    endofunctor of the cochains, so hom(x_t, Lx_t) = hom(x_t, x_{t+1}) can only
+    rise: on the criterion-4 corpus, affine-shift Lawvere sheaves on both
+    orders and crisp and constant-weight DES systems."""
+    rng = random.Random(0xACC4)
+    flows = []
+    for _ in range(50):
+        F, W = random_crisp_sheaf(rng)
+        flows += [(F, W, x0) for x0 in all_cochains(F)]
+    rng = random.Random(16)
+    for stalk in ("underline", "underline_op"):
+        for _ in range(40):
+            flows.append(_affine_sheaf(rng, stalk))
+    for weighted in (False, True):
+        for _ in range(20):
+            system, x0 = _des_system(rng, weighted)
+            flows.append((*des_sheaf(system), x0))
+    for F, W, x0 in flows:
+        trace = harmonic_flow(F, W, x0, max_iter=40)
+        assert trace.status in ("converged", "max_iter_reached")
+        assert not _suffix_degrades(trace, F.quantale), (F.graph, x0)
+
+
+def test_doubling_transport_degrades_suffix_level():
+    """x -> 2x is not nonexpansive on Lawvere costs, so it is no enriched
+    functor: its suffix level falls on every step, and the flow still ends
+    `max_iter_reached`."""
+    Q = LawvereRealsQuantale()
+    g = Graph.build(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
+    L = lattice_for(UnderlineQ(Q))
+    C = L.category
+    rest = {(v, e): QFunctor(C, C, (lambda x: x) if (int(v) - int(w)) % 3 == 1
+                             else (lambda x: 2 * x))
+            for e in g.edges for v, w in (e, e[::-1])}
+    corest = {(e, v): QFunctor.identity(C) for e in g.edges for v in e}
+    F = NetworkSheaf(g, Q, dict.fromkeys(g.vertices, L), dict.fromkeys(g.edges, L), rest, corest)
+    trace = harmonic_flow(F, Weighting(g, Q), {"1": 1.0, "2": 1.0, "3": 1.0}, max_iter=20)
+    assert trace.status == "max_iter_reached"
+    assert _suffix_degrades(trace, Q)

@@ -71,7 +71,7 @@ def test_analytic_lawvere_closed_forms():
 
 def test_presheaf_op_pointwise_forms():
     Q = LawvereRealsQuantale()
-    L = lattice_for(PresheafPower(Q, 2, op=True))
+    L = lattice_for(OppositeCategory(PresheafPower(Q, 2)))
     D = WeightedDiagram.of([((1.0, 2.0), 3.0)])
     # op cotensor is pointwise addition
     assert L.weighted_meet(D) == (4.0, 5.0)
@@ -147,7 +147,8 @@ DECOMPOSITION_STALKS = {
        for family in LATTICE_FAMILIES},
     "underline-chain4": lambda rng: lattice_for(UnderlineQ(FiniteChainQuantale(4))),
     "underline-powerset2": lambda rng: lattice_for(UnderlineQ(FinitePowersetQuantale([0, 1]))),
-    "power-op-chain3": lambda rng: lattice_for(PresheafPower(FiniteChainQuantale(3), 2, op=True)),
+    "power-op-chain3": lambda rng: lattice_for(
+        OppositeCategory(PresheafPower(FiniteChainQuantale(3), 2))),
     "prefs-chain3": lambda rng: preference_lattice(FiniteChainQuantale(3), ("x", "y", "z")),
 }
 
