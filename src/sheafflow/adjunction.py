@@ -142,9 +142,6 @@ def adjoint_limit_interchange(
 class SynthesisResult:
     right: QFunctor
     defect: Any
-    domain: FiniteQCategory
-    codomain: FiniteQCategory
-    quotiented: bool
 
 
 def synthesize_right_adjoint(F: QFunctor) -> SynthesisResult:
@@ -157,7 +154,6 @@ def synthesize_right_adjoint(F: QFunctor) -> SynthesisResult:
     """
     dom, cod = F.domain, F.codomain
     Q = dom.quantale
-    quotiented = False
     f_map = {x: F(x) for x in dom.objects()}
     if not isinstance(dom, FiniteQCategory):
         dom = FiniteQCategory(Q, dom.objects(), {(a, b): F.domain.hom(a, b)
@@ -167,8 +163,6 @@ def synthesize_right_adjoint(F: QFunctor) -> SynthesisResult:
                                                  for a in cod.objects() for b in cod.objects()})
     dom_sk, dom_rep = skeleton(dom)
     cod_sk, cod_rep = skeleton(cod)
-    if len(dom_sk.objects()) != len(dom.objects()) or len(cod_sk.objects()) != len(cod.objects()):
-        quotiented = True
     Fq = QFunctor(dom_sk, cod_sk, {x: cod_rep[f_map[x]] for x in dom_sk.objects()},
                   name=f"{F.name}~")
     LC = EnumerableLattice(dom_sk)
@@ -177,10 +171,4 @@ def synthesize_right_adjoint(F: QFunctor) -> SynthesisResult:
         below = [x for x in dom_sk.objects() if Q.leq(Q.unit, cod_sk.hom(Fq(x), y))]
         table[y] = LC.crisp_join(below)
     G = QFunctor(cod_sk, dom_sk, table, name=f"{F.name}^r")
-    return SynthesisResult(
-        right=G,
-        defect=adjunction_defect(Fq, G),
-        domain=dom_sk,
-        codomain=cod_sk,
-        quotiented=quotiented,
-    )
+    return SynthesisResult(right=G, defect=adjunction_defect(Fq, G))

@@ -20,8 +20,6 @@ from ..sheaf import (
     FlowTrace,
     Graph,
     Weighting,
-    cochain_hom,
-    cochain_iso,
     constant_sheaf,
     flow_step,
     harmonic_flow,
@@ -90,7 +88,7 @@ def shortest_paths(
     t = 0
     while unsettled:
         Lx = laplacian(F, W, x)
-        trace.iterations.append(FlowStep(t, x, cochain_hom(F, x, Lx)))
+        trace.iterations.append(FlowStep(t, x, F.cochains.hom(x, Lx)))
         pick = min(unsettled, key=lambda v: (x[v], object_sort_key(v)))
         unsettled.discard(pick)
         extractions += 1
@@ -98,9 +96,9 @@ def shortest_paths(
         x = flow_step(F, W, x, omega1, 0.0, Lx=Lx)
         t += 1
     Lx = laplacian(F, W, x)
-    trace.iterations.append(FlowStep(t, x, cochain_hom(F, x, Lx)))
+    trace.iterations.append(FlowStep(t, x, F.cochains.hom(x, Lx)))
     settled_fix = flow_step(F, W, x, None, None, Lx=Lx)
-    if cochain_iso(F, settled_fix, x):
+    if F.cochains.iso(settled_fix, x):
         trace.status = "converged"
         trace.converged_at = t
     else:

@@ -30,7 +30,7 @@ from .qcat import NotEnumerableError, validate_category
 from .quantale import check_quantale_laws
 from .sheaf import (check_suffix_section_lemmas, constant_sheaf, global_sections,
                     harmonic_flow, is_fuzzy_global_section)
-from .wlattice import AnalyticLattice, NoSuchObject
+from .wlattice import NoSuchObject, lattice_for
 
 
 def _at_least(low, convert):
@@ -256,11 +256,11 @@ def _validate_prefs(data, args, out, rng) -> None:
 
 
 def _verify_prefs(data, args, out, rng) -> bool:
-    ops = data["category"].analytic_lattice_ops()
+    lat = lattice_for(data["category"])
     ok = True
     for v in data["graph"].vertices:
         rel = data["initial"][v]
-        joined = ops.crisp_join([rel, rel])
+        joined = lat.ops.crisp_join([rel, rel])
         emit({"record": "closure_idempotent", "vertex": v,
               "ok": joined == rel, "seed": args.seed}, out)
         ok = ok and joined == rel
@@ -270,7 +270,7 @@ def _verify_prefs(data, args, out, rng) -> bool:
 
 def _prefs(data, args, out, rng) -> None:
     Q, cat, graph = data["quantale"], data["category"], data["graph"]
-    F = constant_sheaf(graph, Q, AnalyticLattice(cat, cat.analytic_lattice_ops()))
+    F = constant_sheaf(graph, Q, lattice_for(cat))
     schedule = None
     if data["eps"] is not None:
         schedule = prefs_app.bounded_confidence_weighting(F, data["eps"])

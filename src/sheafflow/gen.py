@@ -8,7 +8,6 @@ monotone-pair presheaves of a finite chain.
 """
 from __future__ import annotations
 
-from itertools import product as iproduct
 from random import Random
 
 from .adjunction import synthesize_right_adjoint
@@ -165,14 +164,6 @@ def random_cochain(rng: Random, F: NetworkSheaf) -> dict:
         objs = F.vertex_lattices[v].objects()
         out[v] = objs[rng.randrange(len(objs))]
     return out
-
-
-def all_cochains(F: NetworkSheaf):
-    """Every vertex assignment with enumerable stalks, deterministic order."""
-    verts = F.graph.vertices
-    pools = [F.vertex_lattices[v].objects() for v in verts]
-    for combo in iproduct(*pools):
-        yield dict(zip(verts, combo))
 
 
 def random_connected_graph(rng: Random, max_vertices: int = 50, max_weight: int = 20):

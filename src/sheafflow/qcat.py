@@ -164,33 +164,39 @@ class OppositeCategory(QCategory):
 
 
 class ProductCategory(QCategory):
-    """Objects are tuples; hom is the meet of coordinate homs."""
+    """The product indexed by the keys of `factors`, all enriched in `quantale`.
 
-    def __init__(self, factors: Iterable[QCategory]):
-        self.factors = list(factors)
-        if not self.factors:
-            raise QCategoryError("product needs at least one factor")
-        qs = {f.quantale for f in self.factors}
-        if len(qs) != 1:
-            raise QCategoryError("product factors must share one quantale instance kind")
-        self.quantale = self.factors[0].quantale
+    Objects are dicts from those keys to factor objects, listed with each
+    factor's objects in `object_sort_key` order; hom is the meet of the
+    factor homs, and iso holds when it holds in every factor.
+    """
+
+    def __init__(self, quantale: Quantale, factors: Mapping[Any, QCategory]):
+        self.quantale = quantale
+        self.factors = dict(factors)
 
     @property
     def is_enumerable(self):
-        return all(f.is_enumerable for f in self.factors)
+        return all(f.is_enumerable for f in self.factors.values())
 
     def objects(self):
-        return [tuple(t) for t in iproduct(*(f.objects() for f in self.factors))]
+        return list(self.iter_objects())
+
+    def iter_objects(self):
+        """The objects one at a time, for a walk that keeps only a few."""
+        keys = list(self.factors)
+        pools = [sorted(f.objects(), key=object_sort_key) for f in self.factors.values()]
+        return (dict(zip(keys, combo)) for combo in iproduct(*pools))
 
     def has_object(self, x):
-        return (
-            isinstance(x, tuple)
-            and len(x) == len(self.factors)
-            and all(f.has_object(c) for f, c in zip(self.factors, x))
-        )
+        return (isinstance(x, dict) and x.keys() == self.factors.keys()
+                and all(f.has_object(x[k]) for k, f in self.factors.items()))
 
     def hom(self, x, y):
-        return self.quantale.meet(f.hom(a, b) for f, a, b in zip(self.factors, x, y))
+        return self.quantale.meet(f.hom(x[k], y[k]) for k, f in self.factors.items())
+
+    def iso(self, x, y):
+        return all(f.iso(x[k], y[k]) for k, f in self.factors.items())
 
     def __repr__(self):
         return f"ProductCategory({len(self.factors)} factors, {self.quantale.kind})"

@@ -118,7 +118,8 @@ class UnitIntervalQuantale(Quantale):
     """Carrier [0, 1] with a t-norm multiplication.
 
     tnorm is one of "product" (Goguen residual), "lukasiewicz", "min"
-    (Goedel residual).  Comparisons allow `tolerance` slack.
+    (Goedel residual).  p <= q when the residual [p, q] is within `tolerance`
+    of the top, so the order agrees with hom for every t-norm.
     """
 
     TNORMS = ("product", "lukasiewicz", "min")
@@ -138,10 +139,7 @@ class UnitIntervalQuantale(Quantale):
     bottom = property(lambda self: 0.0)
 
     def leq(self, p, q):
-        return p <= q + self.tolerance
-
-    def eq(self, p, q):
-        return abs(p - q) <= self.tolerance
+        return p <= q or self.hom(p, q) >= 1.0 - self.tolerance
 
     def join(self, elems):
         return max(elems, default=0.0)
@@ -202,11 +200,6 @@ class LawvereRealsQuantale(Quantale):
 
     def leq(self, p, q):
         return p >= q - self.tolerance
-
-    def eq(self, p, q):
-        if math.isinf(p) or math.isinf(q):
-            return p == q
-        return abs(p - q) <= self.tolerance
 
     def join(self, elems):
         return min(elems, default=math.inf)

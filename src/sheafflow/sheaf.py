@@ -13,6 +13,9 @@ with f_w the restriction of the far endpoint and g_v the corestriction back
 into v.  Harmonic flow iterates x <- weighted meet of (Lx, x) weighted
 (omega1, omega2), that is omega1 -|> Lx  meet  omega2 -|> x.
 
+Cochains live in `F.cochains`, the product of the vertex stalks indexed by
+the vertices: its hom is the meet over vertices of the stalk homs.
+
 Operators (`laplacian`, `flow_step`) trust their inputs, since weighted meets
 keep a cochain in its stalks; entry points that take a caller's cochain
 (`harmonic_flow`, `is_fuzzy_global_section`, ...) check it once.
@@ -25,7 +28,7 @@ from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from .adjunction import adjunction_defect
-from .qcat import FiniteQCategory, QCategoryError, QFunctor, object_sort_key
+from .qcat import FiniteQCategory, ProductCategory, QCategoryError, QFunctor, object_sort_key
 from .quantale import Quantale
 from .report import LawReport
 from .wlattice import WeightedDiagram, WeightedLattice
@@ -168,6 +171,8 @@ class NetworkSheaf:
                     raise SheafError(f"missing restriction for incidence ({v!r}, {e!r})")
                 if (e, v) not in self.corestrictions:
                     raise SheafError(f"missing corestriction for incidence ({v!r}, {e!r})")
+        self.cochains = ProductCategory(
+            quantale, {v: self.vertex_lattices[v].category for v in graph.vertices})
         self.adjunction_levels = {}
         rng = Random(_LEVEL_SAMPLE_SEED)
         for e in graph.edges:
@@ -231,18 +236,6 @@ def adjunction_defect_on(Q, dom, cod, F, G, xs, ys):
     return adjunction_defect(F, G, iproduct(xs, ys))
 
 
-def cochain_hom(F: NetworkSheaf, x: Cochain, y: Cochain):
-    """Hom in the cochain category: meet over vertices of stalk homs."""
-    return F.quantale.meet(
-        F.vertex_lattices[v].hom(x[v], y[v]) for v in F.graph.vertices
-    )
-
-
-def cochain_iso(F: NetworkSheaf, x: Cochain, y: Cochain) -> bool:
-    Q = F.quantale
-    return Q.leq(Q.unit, cochain_hom(F, x, y)) and Q.leq(Q.unit, cochain_hom(F, y, x))
-
-
 @dataclass
 class SectionCheck:
     ok: bool
@@ -280,21 +273,10 @@ def _edge_homs(F: NetworkSheaf, x: Cochain) -> list[tuple]:
 
 def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], FiniteQCategory]:
     """All fuzzy global sections (enumerable stalks) plus their hom category."""
-    vs = F.graph.vertices
-    per_vertex = []
-    for v in vs:
-        lat = F.vertex_lattices[v]
-        per_vertex.append(sorted(lat.objects(), key=object_sort_key))
-    sections = []
-    for combo in iproduct(*per_vertex):
-        x = dict(zip(vs, combo))
-        if is_fuzzy_global_section(F, W, x).ok:
-            sections.append(x)
-    objs = [tuple(x[v] for v in vs) for x in sections]
-    hom = {}
-    for a, xa in zip(objs, sections):
-        for b, xb in zip(objs, sections):
-            hom[(a, b)] = cochain_hom(F, xa, xb)
+    sections = [x for x in F.cochains.iter_objects() if is_fuzzy_global_section(F, W, x).ok]
+    objs = [tuple(x.values()) for x in sections]
+    hom = {(a, b): F.cochains.hom(xa, xb)
+           for a, xa in zip(objs, sections) for b, xb in zip(objs, sections)}
     return sections, FiniteQCategory(F.quantale, objs, hom)
 
 
@@ -386,12 +368,12 @@ def harmonic_flow(
     for t in range(max_iter + 1):
         Wt = weight_schedule(t, x) if weight_schedule is not None else W
         Lx = laplacian(F, Wt, x)
-        trace.iterations.append(FlowStep(t, x, cochain_hom(F, x, Lx)))
+        trace.iterations.append(FlowStep(t, x, F.cochains.hom(x, Lx)))
         if t == max_iter:
             break
         omega1, omega2 = omega_schedule(t, x) if omega_schedule is not None else (None, None)
         nxt = flow_step(F, Wt, x, omega1, omega2, Lx=Lx)
-        if all(F.vertex_lattices[v].iso(nxt[v], x[v]) for v in F.graph.vertices):
+        if F.cochains.iso(nxt, x):
             trace.status = "converged"
             trace.converged_at = t
             return trace
@@ -429,7 +411,7 @@ def check_suffix_section_lemmas(
                       f"defect {d!r} at level {eps!r}")
         homs = {(v, w): h for v, w, _e, h in _edge_homs(F, x)}
         Lx = laplacian(F, W, x)
-        sx = cochain_hom(F, x, Lx)
+        sx = F.cochains.hom(x, Lx)
         agree_q = all(Q.leq(Q.mul(W(v, w), q), h) for (v, w), h in homs.items())
         if agree_q:
             rep.check("agreement-implies-descent", Q.leq(Q.mul(eps, q), sx), _key(x),
@@ -470,8 +452,8 @@ def check_projection_property(
     xf = trace.final
     sections, _ = global_sections(F, W)
     for y in sections:
-        before = cochain_hom(F, y, x0)
-        after = cochain_hom(F, y, xf)
+        before = F.cochains.hom(y, x0)
+        after = F.cochains.hom(y, xf)
         rep.check("hom-preserved", Q.eq(before, after), _key(y),
                   f"hom before {before!r} vs after {after!r}")
     return rep

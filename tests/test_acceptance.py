@@ -24,7 +24,7 @@ from sheafflow.cli import main as cli_main
 from sheafflow.fileio import load_input
 from sheafflow.fixpoint import FixpointQuery, verify_tarski
 from sheafflow.gen import (
-    all_cochains, random_cochain, random_connected_graph, random_crisp_sheaf,
+    random_cochain, random_connected_graph, random_crisp_sheaf,
     random_diagram, random_lattice, random_monotone_endofunctor,
 )
 from sheafflow.oracle import (
@@ -38,7 +38,7 @@ from sheafflow.quantale import (
 )
 from sheafflow.sheaf import (
     Graph, Weighting, check_projection_property, check_suffix_section_lemmas,
-    cochain_hom, cochain_iso, flow_step, global_sections, harmonic_flow,
+    flow_step, global_sections, harmonic_flow,
     is_fuzzy_global_section, laplacian,
 )
 from sheafflow.wlattice import WeightedDiagram
@@ -140,12 +140,12 @@ def test_criterion_04_hodge_correspondence():
         Q = F.quantale
         verts = F.graph.vertices
         fixed, suffix, sections = set(), set(), set()
-        for x in all_cochains(F):
+        for x in F.cochains.objects():
             key = tuple(x[v] for v in verts)
-            if cochain_iso(F, x, flow_step(F, W, x)):
+            if F.cochains.iso(x, flow_step(F, W, x)):
                 fixed.add(key)
             Lx = laplacian(F, W, x)
-            if Q.leq(Q.unit, cochain_hom(F, x, Lx)):
+            if Q.leq(Q.unit, F.cochains.hom(x, Lx)):
                 suffix.add(key)
             if is_fuzzy_global_section(F, W, x).ok:
                 sections.add(key)
@@ -156,7 +156,7 @@ def test_criterion_04_hodge_correspondence():
             for y2 in listed:
                 assert Q.eq(
                     cat.hom(tuple(y1[v] for v in verts), tuple(y2[v] for v in verts)),
-                    cochain_hom(F, y1, y2),
+                    F.cochains.hom(y1, y2),
                 ), trial
     _conclude(4, "50 seeded crisp sheaves: flow fixed points = unit-level suffix "
                  "points = fuzzy global sections, with matching homs", t0, 60.0)

@@ -85,7 +85,7 @@ def _replace(v, action):
 def _mutate(payload, path, action):
     """Apply one mutation; a location that an earlier mutation removed is skipped."""
     if not path:
-        return payload if action == "drop" else _replace(payload, action)
+        return _replace(payload, action)
     node = payload
     try:
         for key in path[:-1]:
@@ -100,9 +100,11 @@ def _mutate(payload, path, action):
 
 
 def _applicable(base, actions):
-    """(location, action) pairs, a structural action only where it applies."""
+    """(location, action) pairs: "drop" below the root only, a structural
+    action only where it applies."""
     return [(path, action) for path in _paths(base) for action in actions
-            if action not in STRUCTURAL or _structural(_at(base, path), action) is not None]
+            if (path or action != "drop")
+            and (action not in STRUCTURAL or _structural(_at(base, path), action) is not None)]
 
 
 def _fixtures():

@@ -55,9 +55,21 @@ def test_opposite_swaps_hom_and_unwraps():
 def test_product_hom_is_meet():
     Q = FiniteChainQuantale(3)
     C = UnderlineQ(Q)
-    P = ProductCategory([C, C])
-    assert P.hom((0, 2), (1, 1)) == Q.meet2(C.hom(0, 1), C.hom(2, 1))
+    P = ProductCategory(Q, {"a": C, "b": C})
+    assert P.hom({"a": 0, "b": 2}, {"a": 1, "b": 1}) == Q.meet2(C.hom(0, 1), C.hom(2, 1))
     assert validate_category(P).ok
+
+
+def test_product_objects_list_each_factor_in_sort_order():
+    Q = BooleanQuantale()
+    chain = FiniteQCategory(Q, [1, 0], [[1, 0], [1, 1]])  # listed unsorted
+    P = ProductCategory(Q, {"b": chain, "a": UnderlineQ(Q)})
+    obs = P.objects()
+    assert isinstance(obs, list)  # validate_category and functor_defect read it twice
+    assert obs == [{"b": 0, "a": 0}, {"b": 0, "a": 1}, {"b": 1, "a": 0}, {"b": 1, "a": 1}]
+    assert all(list(x) == ["b", "a"] for x in obs)
+    assert P.iso(obs[1], {"a": 1, "b": 0}) and not P.iso(obs[0], obs[1])
+    assert P.has_object(obs[3]) and not P.has_object({"a": 0})
 
 
 def test_presheaf_power_hom_plain_and_op():

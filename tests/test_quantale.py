@@ -32,6 +32,19 @@ def test_float_laws_sampled(float_quantale, rng):
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("Q", [UnitIntervalQuantale(t) for t in UnitIntervalQuantale.TNORMS]
+                         + [LawvereRealsQuantale()], ids=repr)
+def test_laws_hold_on_tolerance_adjacent_values(Q):
+    """Values within the tolerance of each other, or of the bounds, must not
+    split the order from the residual."""
+    tol = Q.tolerance
+    samples = [0.0, tol / 2, 0.3, 0.3 + tol / 2, 0.1 + 0.2, 1.0 - tol / 2, 1.0]
+    if isinstance(Q, LawvereRealsQuantale):
+        samples.append(math.inf)
+    rep = check_quantale_laws(Q, samples)
+    assert rep.ok, rep.summary()
+
+
 unit_vals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, allow_nan=False))
 cost_vals = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 50.0, allow_nan=False))
 

@@ -8,7 +8,7 @@ import pytest
 
 from sheafflow.apps.des import DesSystem, des_sheaf
 from sheafflow.fileio import load_sheaf
-from sheafflow.gen import all_cochains, random_cochain, random_crisp_sheaf
+from sheafflow.gen import random_cochain, random_crisp_sheaf
 from sheafflow.qcat import QFunctor, UnderlineQ
 from sheafflow.quantale import (
     BooleanQuantale,
@@ -23,7 +23,6 @@ from sheafflow.sheaf import (
     Weighting,
     check_projection_property,
     check_suffix_section_lemmas,
-    cochain_hom,
     constant_sheaf,
     flow_step,
     global_sections,
@@ -100,7 +99,7 @@ def test_laplacian_path_example():
     assert Lx["b"] == 1.0
 
 
-def test_cochain_hom_frozen_value():
+def test_cochain_category_hom_frozen_value():
     Q = LawvereRealsQuantale()
     g = Graph.build(["a", "b"], [("a", "b")])
     L = lattice_for(UnderlineQ(Q))
@@ -113,8 +112,8 @@ def test_cochain_hom_frozen_value():
     x = {"a": 0.0, "b": 1.0}
     y = {"a": 5.0, "b": 6.0}
     # worst per-vertex residual: max over vertices of [x_v, y_v]
-    assert cochain_hom(F, x, y) == 5.0
-    assert cochain_hom(F, y, x) == 0.0
+    assert F.cochains.hom(x, y) == 5.0
+    assert F.cochains.hom(y, x) == 0.0
 
 
 def test_isolated_vertex_gets_top_laplacian():
@@ -163,12 +162,11 @@ def test_k3_circulant_diverges():
 
 
 def test_flow_fixed_points_are_unit_sections(rng):
-    from sheafflow.sheaf import cochain_iso
     for _ in range(8):
         F, W = random_crisp_sheaf(rng)
-        for x in all_cochains(F):
+        for x in F.cochains.objects():
             x1 = flow_step(F, W, x)
-            assert cochain_iso(F, x, x1) == is_fuzzy_global_section(F, W, x).ok
+            assert F.cochains.iso(x, x1) == is_fuzzy_global_section(F, W, x).ok
 
 
 def test_flow_converges_on_finite_stalks(rng):
@@ -266,7 +264,7 @@ def test_laplacian_and_flow_step_are_crisp_meets_of_cotensors():
         F, W = random_crisp_sheaf(rng)
         Q = F.quantale
         w1, w2 = Q.sample(rng), Q.sample(rng)
-        for x in all_cochains(F):
+        for x in F.cochains.objects():
             Lx = laplacian(F, W, x)
             for v in F.graph.vertices:
                 lat = F.vertex_lattices[v]
@@ -316,34 +314,26 @@ def _des_system(rng, weighted):
     return system, {v: tuple(float(rng.randint(0, 24)) for _ in range(m)) for v in g.vertices}
 
 
-def test_suffix_level_never_degrades_under_enriched_transports():
-    """With fixed weights and enriched transports, one flow step is an enriched
-    endofunctor of the cochains, so hom(x_t, Lx_t) = hom(x_t, x_{t+1}) can only
-    rise: on the criterion-4 corpus, affine-shift Lawvere sheaves on both
-    orders and crisp and constant-weight DES systems."""
+def _criterion4_corpus():
     rng = random.Random(0xACC4)
-    flows = []
-    for _ in range(50):
-        F, W = random_crisp_sheaf(rng)
-        flows += [(F, W, x0) for x0 in all_cochains(F)]
+    return [random_crisp_sheaf(rng) for _ in range(50)]
+
+
+def _enriched_flow_inputs():
+    """(F, W, x0) for affine-shift Lawvere sheaves on both orders and for
+    crisp and constant-weight DES systems."""
     rng = random.Random(16)
-    for stalk in ("underline", "underline_op"):
-        for _ in range(40):
-            flows.append(_affine_sheaf(rng, stalk))
+    flows = [_affine_sheaf(rng, stalk) for stalk in ("underline", "underline_op")
+             for _ in range(40)]
     for weighted in (False, True):
         for _ in range(20):
             system, x0 = _des_system(rng, weighted)
             flows.append((*des_sheaf(system), x0))
-    for F, W, x0 in flows:
-        trace = harmonic_flow(F, W, x0, max_iter=40)
-        assert trace.status in ("converged", "max_iter_reached")
-        assert not _suffix_degrades(trace, F.quantale), (F.graph, x0)
+    return flows
 
 
-def test_doubling_transport_degrades_suffix_level():
-    """x -> 2x is not nonexpansive on Lawvere costs, so it is no enriched
-    functor: its suffix level falls on every step, and the flow still ends
-    `max_iter_reached`."""
+def _doubling_sheaf():
+    """k3 on Lawvere costs with x -> 2x restrictions on one orientation."""
     Q = LawvereRealsQuantale()
     g = Graph.build(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
     L = lattice_for(UnderlineQ(Q))
@@ -353,6 +343,52 @@ def test_doubling_transport_degrades_suffix_level():
             for e in g.edges for v, w in (e, e[::-1])}
     corest = {(e, v): QFunctor.identity(C) for e in g.edges for v in e}
     F = NetworkSheaf(g, Q, dict.fromkeys(g.vertices, L), dict.fromkeys(g.edges, L), rest, corest)
-    trace = harmonic_flow(F, Weighting(g, Q), {"1": 1.0, "2": 1.0, "3": 1.0}, max_iter=20)
+    return F, Weighting(g, Q), {"1": 1.0, "2": 1.0, "3": 1.0}
+
+
+def _laplacian_defect(F, W, xs):
+    """Meet over pairs of xs of [hom(x, y), hom(Lx, Ly)] in F.cochains: the
+    unit exactly when L respects the homs between them."""
+    C, Q = F.cochains, F.quantale
+    images = [laplacian(F, W, x) for x in xs]
+    return Q.meet(Q.hom(C.hom(x, y), C.hom(Lx, Ly))
+                  for x, Lx in zip(xs, images) for y, Ly in zip(xs, images))
+
+
+def test_laplacian_is_an_enriched_endofunctor_of_the_cochains():
+    """hom(x, y) <= hom(Lx, Ly) in F.cochains on the first 40 cochains of the
+    criterion-4 corpus and on the start and first 10 iterates of the enriched
+    flows; the doubling transport breaks it."""
+    for F, W in _criterion4_corpus():
+        defect = _laplacian_defect(F, W, F.cochains.objects()[:40])
+        assert F.quantale.eq(defect, F.quantale.unit), F.graph
+    for F, W, x0 in _enriched_flow_inputs():
+        trace = harmonic_flow(F, W, x0, max_iter=10)
+        defect = _laplacian_defect(F, W, [s.cochain for s in trace.iterations])
+        assert F.quantale.eq(defect, F.quantale.unit), (F.graph, x0)
+    F, W, x0 = _doubling_sheaf()
+    trace = harmonic_flow(F, W, x0, max_iter=10)
+    defect = _laplacian_defect(F, W, [s.cochain for s in trace.iterations])
+    assert not F.quantale.eq(defect, F.quantale.unit)
+
+
+def test_suffix_level_never_degrades_under_enriched_transports():
+    """With fixed weights and enriched transports, one flow step is an enriched
+    endofunctor of the cochains, so hom(x_t, Lx_t) = hom(x_t, x_{t+1}) can only
+    rise: on the criterion-4 corpus, affine-shift Lawvere sheaves on both
+    orders and crisp and constant-weight DES systems."""
+    flows = [(F, W, x0) for F, W in _criterion4_corpus() for x0 in F.cochains.objects()]
+    for F, W, x0 in flows + _enriched_flow_inputs():
+        trace = harmonic_flow(F, W, x0, max_iter=40)
+        assert trace.status in ("converged", "max_iter_reached")
+        assert not _suffix_degrades(trace, F.quantale), (F.graph, x0)
+
+
+def test_doubling_transport_degrades_suffix_level():
+    """x -> 2x is not nonexpansive on Lawvere costs, so it is no enriched
+    functor: its suffix level falls on every step, and the flow still ends
+    `max_iter_reached`."""
+    F, W, x0 = _doubling_sheaf()
+    trace = harmonic_flow(F, W, x0, max_iter=20)
     assert trace.status == "max_iter_reached"
-    assert _suffix_degrades(trace, Q)
+    assert _suffix_degrades(trace, F.quantale)
