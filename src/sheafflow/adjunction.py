@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Any, Iterable
 
-from .qcat import FiniteQCategory, QCategoryError, QFunctor, functor_defect, skeleton
+from .qcat import QCategoryError, QFunctor, functor_defect
 from .report import LawReport
 from .wlattice import EnumerableLattice, WeightedDiagram, WeightedLattice, lattice_for
 
@@ -145,30 +145,18 @@ class SynthesisResult:
 
 
 def synthesize_right_adjoint(F: QFunctor) -> SynthesisResult:
-    """Candidate right adjoint G(y) = join of {x : Fx <= y at level 1}.
+    """Candidate right adjoint G(y) = join of {x : Fx <= y at level 1}, a table
+    on F's own enumerable categories.
 
-    Works over enumerable skeletal categories; non-skeletal inputs are first
-    quotiented by unit-level isomorphism with lowest-identifier
-    representatives.  The achieved transposition defect is reported; it is
-    the unit exactly when F preserves weighted joins.
+    Isomorphic objects have the same joins, and G picks the one with the
+    lowest identifier, so a non-skeletal category needs no quotient.  The
+    achieved transposition defect is reported; it is the unit exactly when F
+    preserves weighted joins.
     """
     dom, cod = F.domain, F.codomain
     Q = dom.quantale
-    f_map = {x: F(x) for x in dom.objects()}
-    if not isinstance(dom, FiniteQCategory):
-        dom = FiniteQCategory(Q, dom.objects(), {(a, b): F.domain.hom(a, b)
-                                                 for a in dom.objects() for b in dom.objects()})
-    if not isinstance(cod, FiniteQCategory):
-        cod = FiniteQCategory(Q, cod.objects(), {(a, b): F.codomain.hom(a, b)
-                                                 for a in cod.objects() for b in cod.objects()})
-    dom_sk, dom_rep = skeleton(dom)
-    cod_sk, cod_rep = skeleton(cod)
-    Fq = QFunctor(dom_sk, cod_sk, {x: cod_rep[f_map[x]] for x in dom_sk.objects()},
-                  name=f"{F.name}~")
-    LC = EnumerableLattice(dom_sk)
-    table = {}
-    for y in cod_sk.objects():
-        below = [x for x in dom_sk.objects() if Q.leq(Q.unit, cod_sk.hom(Fq(x), y))]
-        table[y] = LC.crisp_join(below)
-    G = QFunctor(cod_sk, dom_sk, table, name=f"{F.name}^r")
-    return SynthesisResult(right=G, defect=adjunction_defect(Fq, G))
+    images = [(x, F(x)) for x in dom.objects()]
+    LC = EnumerableLattice(dom)
+    G = QFunctor(cod, dom, {y: LC.crisp_join([x for x, fx in images if Q.leq(Q.unit, cod.hom(fx, y))])
+                            for y in cod.objects()}, name=f"{F.name}^r")
+    return SynthesisResult(right=G, defect=adjunction_defect(F, G))

@@ -14,41 +14,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..qcat import OppositeCategory, PresheafPower, QFunctor
+# the max-plus kernels live beside `qcat.transport`, and stay importable from here
+from ..qcat import (OppositeCategory, PresheafPower, _sub_clipped, maxplus_apply,
+                    minplus_transpose_apply, transport)
 from ..quantale import LawvereRealsQuantale
 from ..report import LawReport
 from ..sheaf import Graph, NetworkSheaf, Weighting, laplacian
 from ..wlattice import AnalyticLattice, analytic_ops_for
-
-TimingVector = tuple  # m nonnegative extended reals
-
-
-def _sub_clipped(y: float, a: float) -> float:
-    """(y - a)_+ under the cost conventions: a = inf gives 0, y = inf gives inf."""
-    if math.isinf(a):
-        return 0.0
-    if math.isinf(y):
-        return math.inf
-    return max(y - a, 0.0)
-
-
-def maxplus_apply(A: Sequence[Sequence[float]], x: TimingVector) -> TimingVector:
-    """j |-> max_i (x_i + A[i][j]).  A is rows-in, columns-out."""
-    m_in = len(A)
-    if len(x) != m_in:
-        raise ValueError(f"timing vector of length {len(x)} against {m_in} matrix rows")
-    m_out = len(A[0])
-    return tuple(max(x[i] + A[i][j] for i in range(m_in)) for j in range(m_out))
-
-
-def minplus_transpose_apply(A: Sequence[Sequence[float]], y: TimingVector) -> TimingVector:
-    """i |-> min_j (y_j - A[i][j])_+ with the clipping inside the min."""
-    m_in = len(A)
-    m_out = len(A[0])
-    if len(y) != m_out:
-        raise ValueError(f"timing vector of length {len(y)} against {m_out} matrix columns")
-    return tuple(min(_sub_clipped(y[j], A[i][j]) for j in range(m_out)) for i in range(m_in))
-
 
 @dataclass
 class DesSystem:
@@ -81,20 +53,22 @@ class DesSystem:
 def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
     """Sheaf of timing stalks with max-plus transports.
 
-    The per-incidence adjunction level is estimated on sampled finite timing
-    vectors x_v paired with their images under the incidence's own
-    restriction.  On those pairs the clipped min-plus transpose is an exact
-    right adjoint, so the recorded levels read crisp.  The Laplacian feeds
-    the corestriction the far endpoint's images instead, where the
-    transposition defect can be several cost units, so a crisp recorded
-    level is an estimate, not a certificate (see NetworkSheaf).
+    Each restriction is a max_plus transport and each corestriction its
+    right adjoint.  The stalks are not enumerable and the pairs are not
+    identities, so each level is sampled: finite timing vectors x_v paired
+    with their images under the incidence's own restriction, where the
+    clipped min-plus transpose is an exact right adjoint, so the recorded
+    levels read crisp.  The Laplacian feeds the corestriction the far
+    endpoint's images instead, where the transposition defect can be several
+    cost units, so a crisp recorded level is an estimate, not a certificate
+    (see NetworkSheaf).
     """
     R = LawvereRealsQuantale()
     cat = OppositeCategory(PresheafPower(R, sys.m))
     ops = analytic_ops_for(cat)
     span = sys.span()
 
-    def finite_sampler(rng: Random) -> TimingVector:
+    def finite_sampler(rng: Random) -> tuple:
         return tuple(rng.uniform(0.0, 2.0 * span + 1.0) for _ in range(sys.m))
 
     ops.sampler = finite_sampler
@@ -102,11 +76,8 @@ def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
     rest, corest = {}, {}
     for e in sys.graph.edges:
         for v in e:
-            A = sys.delays[v]
-            rest[(v, e)] = QFunctor(cat, cat, lambda x, A=A: maxplus_apply(A, x),
-                                    name=f"maxplus[{v}]")
-            corest[(e, v)] = QFunctor(cat, cat, lambda y, A=A: minplus_transpose_apply(A, y),
-                                      name=f"minplusT[{v}]")
+            rest[(v, e)] = transport("max_plus", cat, cat, sys.delays[v], name=f"maxplus[{v}]")
+            corest[(e, v)] = rest[(v, e)].right_adjoint()
     F = NetworkSheaf(
         sys.graph, R,
         {v: lat for v in sys.graph.vertices},
@@ -195,16 +166,13 @@ def perturbed_des_sheaf(
     transposes, so the measured adjunction levels quantify the perturbation.
     """
     base_F, W = des_sheaf(sys)
-    cat = base_F.vertex_lattices[sys.graph.vertices[0]].category
     rest = {}
     for (v, e), f in base_F.restrictions.items():
-        A = sys.delays[v]
         eta = tuple(noise[v])
         if len(eta) != sys.m:
             raise ValueError(f"noise at {v!r} must have {sys.m} entries")
-        Aeta = tuple(tuple(A[i][j] + eta[i] for j in range(sys.m)) for i in range(sys.m))
-        rest[(v, e)] = QFunctor(cat, cat, lambda x, M=Aeta: maxplus_apply(M, x),
-                                name=f"maxplus~[{v}]")
+        Aeta = tuple(tuple(a + eta[i] for a in row) for i, row in enumerate(f.kind[1]))
+        rest[(v, e)] = transport("max_plus", f.domain, f.codomain, Aeta, name=f"maxplus~[{v}]")
     F = NetworkSheaf(
         sys.graph, base_F.quantale, base_F.vertex_lattices, base_F.edge_lattices,
         rest, base_F.corestrictions,

@@ -14,10 +14,10 @@ import json
 import math
 from typing import Any, Callable, IO, Iterable, Mapping
 
-from .apps.des import DesSystem, minplus_transpose_apply, maxplus_apply, _sub_clipped
+from .apps.des import DesSystem
 from .apps.prefs import PreferenceCategory
 from .qcat import (FiniteQCategory, OppositeCategory, PresheafPower, QCategoryError, QFunctor,
-                   UnderlineQ)
+                   UnderlineQ, transport)
 from .quantale import LawvereRealsQuantale, Quantale, QuantaleError, from_descriptor
 from .sheaf import Graph, NetworkSheaf, SheafError, Weighting
 from .wlattice import lattice_for
@@ -227,51 +227,38 @@ def _build_map(desc: Any, dom, cod, name: str, field: str) -> QFunctor:
     where = f"field {field!r} at {name!r}"
     kind = _kind(desc, {"identity": "", "affine_shift": "c", "affine_unshift": "c", "table": "pairs",
                         "max_plus": "delays", "min_plus_transpose": "delays"}, where)
-    if kind == "identity":
-        return QFunctor(dom.category, cod.category, lambda x: x, name=f"id[{name}]")
+    if kind == "table":
+        pairs = _tuples(_need(desc, "pairs", "table map"), where, "[x, y]")
+        mapping = {_value(a, where): _value(b, where) for a, b in pairs}
+        for b in mapping.values():
+            _expect(cod.category.has_object(b), b, f"{where}, a table target", "an object of its stalk")
+        return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
+    params = ()
     if kind in ("affine_shift", "affine_unshift"):
         c = _number(_need(desc, "c", f"{kind} map"), f"{where}, 'c'")
         _in_carrier(cod.quantale, [c], f"{where}, 'c'")
-        if kind == "affine_shift":
-            return QFunctor(dom.category, cod.category, lambda x, c=c: x + c, name=f"shift{c}[{name}]")
-        return QFunctor(dom.category, cod.category, lambda y, c=c: _sub_clipped(y, c),
-                        name=f"unshift{c}[{name}]")
-    if kind in ("max_plus", "min_plus_transpose"):
+        params = (c,)
+    elif kind != "identity":
         A = _matrix(_need(desc, "delays", f"{kind} map"), f"{where}, 'delays'")
         _in_carrier(cod.quantale, [a for row in A for a in row], f"{where}, 'delays'")
-        if kind == "max_plus":
-            return QFunctor(dom.category, cod.category, lambda x, A=A: maxplus_apply(A, x),
-                            name=f"maxplus[{name}]")
-        return QFunctor(dom.category, cod.category,
-                        lambda y, A=A: minplus_transpose_apply(A, y), name=f"minplusT[{name}]")
-    pairs = _tuples(_need(desc, "pairs", "table map"), where, "[x, y]")
-    mapping = {_value(a, where): _value(b, where) for a, b in pairs}
-    for b in mapping.values():
-        _expect(cod.category.has_object(b), b, f"{where}, a table target", "an object of its stalk")
-    return QFunctor(dom.category, cod.category, mapping, name=f"table[{name}]")
+        params = (A,)
+    return transport(kind, dom.category, cod.category, *params, name=f"{kind}[{name}]")
 
 
-_RIGHT_ADJOINT_KIND = {"identity": "identity", "affine_shift": "affine_unshift",
-                       "max_plus": "min_plus_transpose"}
-
-
-def derive_corestriction(desc: Mapping, rest: QFunctor, edge_lat, vertex_lat, name: str) -> QFunctor:
-    """Right adjoint implied by a restriction descriptor."""
-    kind = desc.get("kind")
-    if kind in _RIGHT_ADJOINT_KIND:
-        return _build_map({**desc, "kind": _RIGHT_ADJOINT_KIND[kind]}, edge_lat, vertex_lat,
-                          name, "restrictions")
-    if kind == "table":
+def derive_corestriction(rest: QFunctor, name: str) -> QFunctor:
+    """Right adjoint of a restriction: its kind's own, or synthesized for a table."""
+    if rest.kind == ("table",):
         try:
-            res = synthesize_right_adjoint(rest)
+            return synthesize_right_adjoint(rest).right
         except QCategoryError as exc:
             raise InputFormatError(
                 f"field 'restrictions' at {name!r}: cannot derive its right adjoint: {exc}") from exc
-        return QFunctor(edge_lat.category, vertex_lat.category,
-                        {y: res.right(y) for y in edge_lat.objects()}, name=f"radj[{name}]")
-    raise InputFormatError(
-        f"cannot derive a corestriction from map kind {kind!r} at {name}; "
-        "give one under field 'corestrictions'")
+    right = rest.right_adjoint()
+    if right is None:
+        raise InputFormatError(
+            f"cannot derive a corestriction from map kind {rest.kind[0]!r} at {name}; "
+            "give one under field 'corestrictions'")
+    return right
 
 
 def _edge_key(e: tuple) -> str:
@@ -330,8 +317,7 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
             corestrictions[(e, v)] = _build_map(
                 corest_desc[key], edge_lats[e], vertex_lats[v], key, "corestrictions")
         else:
-            corestrictions[(e, v)] = derive_corestriction(
-                rest_desc[key], restrictions[(v, e)], edge_lats[e], vertex_lats[v], key)
+            corestrictions[(e, v)] = derive_corestriction(restrictions[(v, e)], key)
 
     try:
         F = NetworkSheaf(graph, Q, vertex_lats, edge_lats, restrictions, corestrictions)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from random import Random
 
 from .adjunction import synthesize_right_adjoint
-from .qcat import FiniteQCategory, QFunctor, UnderlineQ, is_functor, object_sort_key
+from .qcat import FiniteQCategory, QFunctor, UnderlineQ, is_functor, object_sort_key, transport
 from .quantale import BooleanQuantale, FiniteChainQuantale, Quantale
 from .sheaf import Graph, NetworkSheaf, Weighting
 from .wlattice import EnumerableLattice, WeightedDiagram
@@ -104,22 +104,20 @@ def random_monotone_endofunctor(rng: Random, L) -> QFunctor:
                         name="join-with")
     if style == 2:
         return QFunctor(C, C, {x: a for x in objs}, name="constant")
-    return QFunctor(C, C, {x: x for x in objs}, name="identity")
+    return transport("identity", C, C)
 
 
 def random_adjoint_pair(rng: Random, L) -> tuple[QFunctor, QFunctor]:
     """A unit-level adjunction on L: a left adjoint found by rejection with
     its synthesized right adjoint, falling back to the identity pair."""
     C = L.category
-    objs = L.objects()
     Q = C.quantale
     for _ in range(25):
         F = random_monotone_endofunctor(rng, L)
         res = synthesize_right_adjoint(F)
         if Q.eq(res.defect, Q.unit):
-            G = QFunctor(C, C, {y: res.right(y) for y in objs}, name=f"{F.name}-radj")
-            return F, G
-    ident = QFunctor(C, C, {x: x for x in objs}, name="identity")
+            return F, res.right
+    ident = transport("identity", C, C)
     return ident, ident
 
 

@@ -235,8 +235,37 @@ class PresheafPower(QCategory):
         return f"PresheafPower({self.quantale.kind}, m={self.m})"
 
 
+def _sub_clipped(y: float, a: float) -> float:
+    """(y - a)_+ under the cost conventions: a = inf gives 0, y = inf gives inf."""
+    if math.isinf(a):
+        return 0.0
+    if math.isinf(y):
+        return math.inf
+    return max(y - a, 0.0)
+
+
+def maxplus_apply(A, x: tuple) -> tuple:
+    """j |-> max_i (x_i + A[i][j]).  A is rows-in, columns-out."""
+    m_in = len(A)
+    if len(x) != m_in:
+        raise ValueError(f"timing vector of length {len(x)} against {m_in} matrix rows")
+    m_out = len(A[0])
+    return tuple(max(x[i] + A[i][j] for i in range(m_in)) for j in range(m_out))
+
+
+def minplus_transpose_apply(A, y: tuple) -> tuple:
+    """i |-> min_j (y_j - A[i][j])_+ with the clipping inside the min."""
+    m_in = len(A)
+    m_out = len(A[0])
+    if len(y) != m_out:
+        raise ValueError(f"timing vector of length {len(y)} against {m_out} matrix columns")
+    return tuple(min(_sub_clipped(y[j], A[i][j]) for j in range(m_out)) for i in range(m_in))
+
+
 class QFunctor:
-    """Object map between categories; functoriality is a checked property."""
+    """Object map between categories; functoriality is a checked property.
+    `kind` is ("table",) for a table, (name, *parameters) for a `transport`,
+    and None for any other callable."""
 
     def __init__(self, domain: QCategory, codomain: QCategory, mapping, name: str = ""):
         self.domain = domain
@@ -246,6 +275,7 @@ class QFunctor:
         self._is_table = isinstance(mapping, Mapping)
         self._apply = mapping.__getitem__ if self._is_table else mapping
         self.name = name or ("{...}" if self._is_table else getattr(mapping, "__name__", "fn"))
+        self.kind = ("table",) if self._is_table else None
 
     def __call__(self, x: Any) -> Any:
         try:
@@ -255,12 +285,35 @@ class QFunctor:
                 raise
             raise QCategoryError(f"functor {self.name} is undefined on {x!r}") from None
 
-    @classmethod
-    def identity(cls, category: QCategory) -> "QFunctor":
-        return cls(category, category, lambda x: x, name="id")
+    def right_adjoint(self) -> "QFunctor | None":
+        """Right adjoint of an identity, affine_shift or max_plus transport, else None."""
+        row = _TRANSPORTS.get(self.kind and self.kind[0])
+        if row is None or row[1] is None:
+            return None
+        return transport(row[1], self.codomain, self.domain, *self.kind[1:], name=f"{self.name}^r")
 
     def __repr__(self):
         return f"QFunctor({self.name})"
+
+
+# kind -> (its map given the kind's parameters, the kind of its right adjoint).  The
+# max-plus maps look their kernels up by name per call, so a rebinding (a profiler) sees it.
+_TRANSPORTS = {
+    "identity": (lambda: lambda x: x, "identity"),
+    "affine_shift": (lambda c: lambda x: x + c, "affine_unshift"),
+    "affine_unshift": (lambda c: lambda y: _sub_clipped(y, c), None),
+    "max_plus": (lambda A: lambda x: maxplus_apply(A, x), "min_plus_transpose"),
+    "min_plus_transpose": (lambda A: lambda y: minplus_transpose_apply(A, y), None),
+}
+
+
+def transport(kind: str, domain: QCategory, codomain: QCategory, *params, name: str = "") -> QFunctor:
+    """The transport of one kind, tagged kind = (kind, *params): identity (its
+    own right adjoint), affine_shift c (x + c; right adjoint affine_unshift c,
+    (y - c)_+) or max_plus A (right adjoint min_plus_transpose A)."""
+    F = QFunctor(domain, codomain, _TRANSPORTS[kind][0](*params), name=name or kind)
+    F.kind = (kind, *params)
+    return F
 
 
 def validate_category(C: QCategory) -> LawReport:

@@ -151,7 +151,8 @@ class UnitIntervalQuantale(Quantale):
         if self.tnorm == "product":
             return p * q
         if self.tnorm == "lukasiewicz":
-            return max(0.0, p + q - 1.0)
+            # the larger argument minus 1 is exact, so mul(1, q) is q bit for bit
+            return max(0.0, (max(p, q) - 1.0) + min(p, q))
         return min(p, q)
 
     def hom(self, p, q):

@@ -28,7 +28,8 @@ from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from .adjunction import adjunction_defect
-from .qcat import FiniteQCategory, ProductCategory, QCategoryError, QFunctor, object_sort_key
+from .qcat import (FiniteQCategory, ProductCategory, QCategoryError, QFunctor, object_sort_key,
+                   transport)
 from .quantale import Quantale
 from .report import LawReport
 from .wlattice import WeightedDiagram, WeightedLattice
@@ -130,12 +131,13 @@ _LEVEL_SAMPLE_SIZE = 8
 class NetworkSheaf:
     """Stalks plus restriction/corestriction transports over a graph.
 
-    Adjunction levels per incidence are measured on construction: over all
-    stalk objects when the stalks are enumerable, otherwise over a sample of
-    8 vertex-side objects x per incidence (v, e), drawn from one Random(7)
-    shared by all incidences, paired with their images f_v(x) under the
-    incidence's own restriction.  A sampled level is the meet of the
-    transposition defects on those pairs only, so it is an estimate that can
+    The adjunction level of each incidence (v, e) is set on construction.
+    An identity pair (`qcat.transport`) on one lattice object, as in every
+    `constant_sheaf`, is certified at the unit without a scan.  Any other
+    incidence is scanned over all stalk objects when its stalks are
+    enumerable, else sampled: 8 objects x drawn from one Random(7) shared by
+    the sampled incidences, paired with their images f_v(x) under the
+    incidence's own restriction.  A sampled level is an estimate that can
     only err upward, not a certificate: the Laplacian feeds g_v the far
     endpoint's images f_w(x_w), which are not sampled and may hold the
     adjunction only at a lower level.  A transport that fails on its stalk,
@@ -180,12 +182,15 @@ class NetworkSheaf:
                 self.adjunction_levels[(v, e)] = self._measure_level(v, e, rng)
 
     def _measure_level(self, v, e, rng: Random):
-        """Adjunction level of one incidence, over all stalk objects or over a
-        sample and its restriction images.  The transports must carry these
+        """Adjunction level of one incidence: the unit for an identity pair on
+        one lattice, else measured over all stalk objects or over a sample and
+        its restriction images.  The transports must carry these
         into the stalks; sampled stalks add their top and bottom, whose images
         bound every monotone image."""
         lat_v, lat_e = self.vertex_lattices[v], self.edge_lattices[e]
         f, g = self.restrictions[(v, e)], self.corestrictions[(e, v)]
+        if lat_v is lat_e and f.kind == g.kind == ("identity",):
+            return self.quantale.unit
         try:
             if lat_v.is_enumerable and lat_e.is_enumerable:
                 xs, ys, bounds = lat_v.objects(), lat_e.objects(), ((), ())
@@ -220,7 +225,7 @@ class NetworkSheaf:
 
 def constant_sheaf(graph: Graph, quantale: Quantale, lattice: WeightedLattice) -> NetworkSheaf:
     """One stalk everywhere, with identity restrictions and corestrictions."""
-    ident = QFunctor.identity(lattice.category)
+    ident = transport("identity", lattice.category, lattice.category)
     return NetworkSheaf(
         graph, quantale,
         {v: lattice for v in graph.vertices},

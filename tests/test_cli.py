@@ -129,6 +129,32 @@ def test_prefs_zero_update_listed(tmp_path, fixture_path):
     assert final_r["updated"] is False
 
 
+def test_verify_compares_lukasiewicz_relations_as_objects(tmp_path, fixture_path):
+    # x -> y at 0.1 composed with the unit diagonal once read 0.10000000000000009,
+    # which an exact comparison reported as a closure violation
+    rel = [[1, 0.1, 0.1], [0, 1, 1], [0, 0.1, 1]]
+    path = _variant(tmp_path, fixture_path, "prefs_chain.json", lambda payload: payload.update(
+        quantale={"kind": "unit_interval", "tnorm": "lukasiewicz"},
+        initial=dict.fromkeys(payload["vertices"], rel)))
+    code, lines = _run(tmp_path, "verify", "--input", path)
+    assert code == 0
+    assert [r["ok"] for r in _records(lines, "closure_idempotent")] == [True] * 3
+
+
+def test_table_corestriction_derived_on_a_non_skeletal_stalk(tmp_path, fixture_path):
+    # a and a2 are isomorphic; the right adjoint of v's restriction sends both
+    # to the lowest identifier, a
+    def edit(payload):
+        payload["stalk"] = {"kind": "finite", "objects": ["a", "a2", "t"],
+                            "hom": [[1, 1, 1], [1, 1, 1], [0, 0, 1]]}
+        payload["restrictions"] = {
+            "u|u,v": {"kind": "table", "pairs": [["a", "a"], ["a2", "a2"], ["t", "t"]]},
+            "v|u,v": {"kind": "table", "pairs": [["a", "a"], ["a2", "a"], ["t", "t"]]}}
+    code, lines = _run(tmp_path, "validate", "--input",
+                       _variant(tmp_path, fixture_path, "sheaf_bool_edge.json", edit))
+    assert code == 0 and _records(lines, "summary")[-1]["crisp"] is True
+
+
 def test_byte_identical_across_runs(tmp_path, fixture_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -19,6 +19,7 @@ from sheafflow.qcat import (
     is_functor,
     object_sort_key,
     skeleton,
+    transport,
     validate_category,
 )
 from sheafflow.quantale import (
@@ -117,8 +118,9 @@ def test_functor_defect_graded():
 
 def test_functor_identity():
     C = UnderlineQ(FiniteChainQuantale(3))
-    ident = QFunctor.identity(C)
+    ident = transport("identity", C, C)
     assert all(ident(x) == x for x in (0, 1, 2))
+    assert ident.kind == ("identity",) and ident.right_adjoint().kind == ("identity",)
 
 
 def test_skeleton_collapses_isomorphic_objects():

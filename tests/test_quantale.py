@@ -45,6 +45,19 @@ def test_laws_hold_on_tolerance_adjacent_values(Q):
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("Q", [UnitIntervalQuantale(t) for t in UnitIntervalQuantale.TNORMS]
+                         + [LawvereRealsQuantale()], ids=repr)
+def test_unit_law_is_exact(Q):
+    """mul(unit, q) and mul(q, unit) return q bit for bit; the Lukasiewicz
+    sum p + q - 1 used to round 0.1 to 0.10000000000000009."""
+    tol = Q.tolerance
+    rng = random.Random(17)
+    samples = [0.0, tol / 2, 0.1, 0.3, 0.3 + tol / 2, 0.1 + 0.2, 1.0 - tol / 2, 1.0]
+    samples += [Q.sample(rng) for _ in range(2000)]
+    for q in samples:
+        assert Q.mul(Q.unit, q).hex() == q.hex() == Q.mul(q, Q.unit).hex(), q
+
+
 unit_vals = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, allow_nan=False))
 cost_vals = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 50.0, allow_nan=False))
 

@@ -9,7 +9,7 @@ import pytest
 from sheafflow.apps.des import DesSystem, des_sheaf
 from sheafflow.fileio import load_sheaf
 from sheafflow.gen import random_cochain, random_crisp_sheaf
-from sheafflow.qcat import QFunctor, UnderlineQ
+from sheafflow.qcat import QFunctor, UnderlineQ, transport
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
@@ -238,7 +238,7 @@ def test_transport_leaving_its_stalk_rejected_at_construction():
     L = lattice_for(UnderlineQ(Q))
     g = Graph.build(["a", "b"], [("a", "b")])
     e = g.edges[0]
-    ident = QFunctor.identity(L.category)
+    ident = transport("identity", L.category, L.category)
     # only objects below 0.001 leave [0, 1], and no sampled object is one:
     # the stalk bottom catches it
     nudge = QFunctor(L.category, L.category, lambda x: x - 0.001, name="nudge")
@@ -341,7 +341,7 @@ def _doubling_sheaf():
     rest = {(v, e): QFunctor(C, C, (lambda x: x) if (int(v) - int(w)) % 3 == 1
                              else (lambda x: 2 * x))
             for e in g.edges for v, w in (e, e[::-1])}
-    corest = {(e, v): QFunctor.identity(C) for e in g.edges for v in e}
+    corest = {(e, v): transport("identity", C, C) for e in g.edges for v in e}
     F = NetworkSheaf(g, Q, dict.fromkeys(g.vertices, L), dict.fromkeys(g.edges, L), rest, corest)
     return F, Weighting(g, Q), {"1": 1.0, "2": 1.0, "3": 1.0}
 

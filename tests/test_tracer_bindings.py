@@ -6,7 +6,8 @@ installs the tracer, runs one tiny DES flow, one `global_sections` call and
 short flows on `sheaf_bool_edge.json` with its closed-form stalks and with
 searched ones, and checks that each count read from a patched name moved;
 the lattice ops of each lattice kind and the functor calls must move during
-the flows themselves.
+the flows themselves, and the max-plus kernels during the DES flow, which
+its transports reach through `qcat.transport`.
 """
 import os
 import sys
@@ -48,7 +49,7 @@ def test_tracer_counts_through_library_bindings(tracer, fixture_path):
     system = des.DesSystem(m=2, delays={"a": ((1.0, 3.0), (2.0, 1.0)),
                                         "b": ((0.0, 2.0), (1.0, 0.0))}, graph=g)
     F, W = des.des_sheaf(system)
-    with _moves(tracer, "wlattice.analytic.ops", "qcat.functor.calls"):
+    with _moves(tracer, "wlattice.analytic.ops", "qcat.functor.calls", "apps.des.transport.calls"):
         sheaf.harmonic_flow(F, W, {"a": (9.0, 7.0), "b": (8.0, 8.0)}, max_iter=5)
     _kind, (F2, W2, _initial) = fileio.load_input(fixture_path("sheaf_bool_edge.json"))
     sections, _cat = sheaf.global_sections(F2, W2)
