@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Any, Iterable, Mapping, Sequence
 
 # the max-plus kernels live beside `qcat.transport`, and stay importable from here
@@ -20,7 +19,7 @@ from ..qcat import (OppositeCategory, PresheafPower, _sub_clipped, maxplus_apply
 from ..quantale import LawvereRealsQuantale
 from ..report import LawReport
 from ..sheaf import Graph, NetworkSheaf, Weighting, laplacian
-from ..wlattice import AnalyticLattice, analytic_ops_for
+from ..wlattice import lattice_for
 
 @dataclass
 class DesSystem:
@@ -45,34 +44,22 @@ class DesSystem:
                     if math.isnan(c) or c < 0:
                         raise ValueError(f"delay[{v!r}][{i}][{j}] must be nonnegative, got {c!r}")
 
-    def span(self) -> float:
-        finite = [c for M in self.delays.values() for row in M for c in row if math.isfinite(c)]
-        return max(finite, default=1.0)
-
 
 def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
     """Sheaf of timing stalks with max-plus transports.
 
     Each restriction is a max_plus transport and each corestriction its
-    right adjoint.  The stalks are not enumerable and the pairs are not
-    identities, so each level is sampled: finite timing vectors x_v paired
-    with their images under the incidence's own restriction, where the
-    clipped min-plus transpose is an exact right adjoint, so the recorded
-    levels read crisp.  The Laplacian feeds the corestriction the far
-    endpoint's images instead, where the transposition defect can be several
-    cost units, so a crisp recorded level is an estimate, not a certificate
-    (see NetworkSheaf).
+    right adjoint, so every level is read off the kinds
+    (`qcat.transport_level`): over the pairs (x_v, f_v(x')) of the
+    incidence's own restriction the clipped min-plus transpose is exact, and
+    the recorded levels are crisp when every delay is finite.  The Laplacian
+    feeds the corestriction the far endpoint's images instead, where the
+    transposition defect can be several cost units, so a crisp recorded
+    level is not a certificate for the flow (see NetworkSheaf).
     """
     R = LawvereRealsQuantale()
     cat = OppositeCategory(PresheafPower(R, sys.m))
-    ops = analytic_ops_for(cat)
-    span = sys.span()
-
-    def finite_sampler(rng: Random) -> tuple:
-        return tuple(rng.uniform(0.0, 2.0 * span + 1.0) for _ in range(sys.m))
-
-    ops.sampler = finite_sampler
-    lat = AnalyticLattice(cat, ops)
+    lat = lattice_for(cat)
     rest, corest = {}, {}
     for e in sys.graph.edges:
         for v in e:
@@ -163,7 +150,8 @@ def perturbed_des_sheaf(
 ) -> tuple[NetworkSheaf, Weighting]:
     """Sheaf whose restrictions carry per-source-event noise:
     x |-> max_i (x_i + A(i,j) + eta_i).  Corestrictions stay the base
-    transposes, so the measured adjunction levels quantify the perturbation.
+    transposes, so the level of each incidence (v, e), read off the kinds, is
+    max_i |eta_v(i)|, or the bottom where a delay is infinite.
     """
     base_F, W = des_sheaf(sys)
     rest = {}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from itertools import product as iproduct
-from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from ..qcat import QCategory, QCategoryError, object_sort_key
@@ -159,14 +158,7 @@ class PreferenceCategory(QCategory):
             )
             return compose_closure(Q, pointwise)
 
-        def sampler(rng: Random) -> Relation:
-            raw = tuple(
-                tuple(Q.unit if i == j else Q.sample(rng) for j in range(n))
-                for i in range(n)
-            )
-            return compose_closure(Q, raw)
-
-        return AnalyticOps(tensor, cotensor, crisp_meet, crisp_join, sampler)
+        return AnalyticOps(tensor, cotensor, crisp_meet, crisp_join)
 
     def __repr__(self):
         return f"PreferenceCategory({self.n} alternatives, {self.quantale.kind})"

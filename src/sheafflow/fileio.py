@@ -296,11 +296,16 @@ def load_sheaf(payload: Mapping) -> tuple[NetworkSheaf, Weighting, dict | None]:
     stalks = _fields(payload.get("stalks", {}), [*graph.vertices, *map(_edge_key, graph.edges)],
                      "field 'stalks'")
 
+    lattices = {}  # one lattice per distinct descriptor, so identity pairs certify
+
     def stalk(key):
         desc = stalks.get(key, default_stalk)
         if desc is None:
             raise InputFormatError(f"field 'stalks' is missing {key!r} and no 'stalk' default given")
-        return build_stalk(Q, desc)
+        text = json.dumps(desc, sort_keys=True)
+        if text not in lattices:
+            lattices[text] = build_stalk(Q, desc)
+        return lattices[text]
 
     vertex_lats = {v: stalk(v) for v in graph.vertices}
     edge_lats = {e: stalk(_edge_key(e)) for e in graph.edges}

@@ -12,7 +12,7 @@ import math
 from itertools import product as iproduct
 from typing import Any, Callable, Iterable, Mapping
 
-from .quantale import Quantale
+from .quantale import LawvereRealsQuantale, Quantale
 from .report import LawReport
 
 
@@ -314,6 +314,40 @@ def transport(kind: str, domain: QCategory, codomain: QCategory, *params, name: 
     F = QFunctor(domain, codomain, _TRANSPORTS[kind][0](*params), name=name or kind)
     F.kind = (kind, *params)
     return F
+
+
+def _maxplus_matrix(kind: tuple):
+    """A cost transport's matrix: identity is (0), an affine kind by c is (c)."""
+    name, *params = kind
+    if name == "identity":
+        return ((0.0,),)
+    return ((params[0],),) if name.startswith("affine") else params[0]
+
+
+def transport_level(C: QCategory, f: QFunctor, g: QFunctor) -> Any:
+    """Adjunction level of restriction f against corestriction g on one stalk
+    C over the pairs (x, f(x')), read off their kinds; the quantale's bottom,
+    which promises nothing, unless C is a Lawvere cost stalk (UnderlineQ, its
+    opposite, or an opposite PresheafPower) and the kinds are cost kinds.
+
+    Reading identity as the max-plus matrix (0) and an affine kind by c as (c),
+    max_plus B against min_plus_transpose A has level max_ij |B_ij - A_ij|: no
+    transposed term moves further, and a point with one large coordinate,
+    paired with the image of zero or of itself, attains it (Baccelli, Cohen,
+    Olsder & Quadrat, Synchronization and Linearity, on residuation).  An
+    infinite entry gets the bottom, exact when A holds it: the clipped
+    transpose sends that coordinate to 0 whatever it is given.
+    """
+    Q, base = C.quantale, getattr(C, "base", C)
+    if not (isinstance(Q, LawvereRealsQuantale)
+            and (isinstance(base, UnderlineQ) or (isinstance(base, PresheafPower) and base is not C))
+            and f.kind and f.kind[0] in ("identity", "affine_shift", "max_plus")
+            and g.kind and g.kind[0] in ("identity", "affine_unshift", "min_plus_transpose")):
+        return Q.bottom
+    B, A = _maxplus_matrix(f.kind), _maxplus_matrix(g.kind)
+    gaps = [abs(b - a) for rb, ra in zip(B, A) for b, a in zip(rb, ra)]
+    shaped = [len(r) for r in B] == [len(r) for r in A]
+    return max(gaps) if shaped and all(map(math.isfinite, gaps)) else Q.bottom
 
 
 def validate_category(C: QCategory) -> LawReport:

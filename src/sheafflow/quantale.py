@@ -7,7 +7,7 @@ hom [p, q] = largest r with p * r <= q.  Elements are plain Python values
 (ints, floats, frozensets); each kind documents its carrier, and the Boolean
 quantale is the 2-element chain.  The order and monoid ops assume carrier
 members and do not check them: `contains` / `require` run once, where values
-enter (file loaders, constructors, and the transport images a sheaf samples).
+enter (file loaders, constructors, and the transport images a sheaf checks).
 
 The order on extended-real costs is reversed: leq(p, q) holds when p >= q
 numerically, so join is numeric min, the unit is 0 and bottom is infinity.

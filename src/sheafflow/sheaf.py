@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from random import Random
 from typing import Any, Callable, Iterable, Mapping
 
 from .adjunction import adjunction_defect
 from .qcat import (FiniteQCategory, ProductCategory, QCategoryError, QFunctor, object_sort_key,
-                   transport)
+                   transport, transport_level)
 from .quantale import Quantale
 from .report import LawReport
 from .wlattice import WeightedDiagram, WeightedLattice
@@ -124,27 +123,23 @@ class Weighting:
                    for (v, w) in self.table)
 
 
-_LEVEL_SAMPLE_SEED = 7
-_LEVEL_SAMPLE_SIZE = 8
-
-
 class NetworkSheaf:
     """Stalks plus restriction/corestriction transports over a graph.
 
-    The adjunction level of each incidence (v, e) is set on construction.
-    An identity pair (`qcat.transport`) on one lattice object, as in every
-    `constant_sheaf`, is certified at the unit without a scan.  Any other
-    incidence is scanned over all stalk objects when its stalks are
-    enumerable, else sampled: 8 objects x drawn from one Random(7) shared by
-    the sampled incidences, paired with their images f_v(x) under the
-    incidence's own restriction.  A sampled level is an estimate that can
-    only err upward, not a certificate: the Laplacian feeds g_v the far
-    endpoint's images f_w(x_w), which are not sampled and may hold the
-    adjunction only at a lower level.  A transport that fails on its stalk,
-    or carries an object out of it, raises SheafError.  Transports are
-    assumed to be enriched functors (for Lawvere costs, nonexpansive maps), so
-    a harmonic flow ends `converged` or, also when it grows without bound,
-    `max_iter_reached`.
+    The adjunction level of each incidence (v, e) is set on construction
+    from the sheaf alone.  An identity pair (`qcat.transport`) on one lattice
+    object, as in every `constant_sheaf`, is certified at the unit; enumerable
+    stalks are scanned over all their objects; cost transports on one Lawvere
+    stalk (DES, affine shifts) get the exact level over the pairs (x, f_v(x'))
+    from `qcat.transport_level`; any other incidence gets the quantale's
+    bottom, which promises nothing.  The Laplacian feeds g_v the far
+    endpoint's images f_w(x_w), where a max-plus pair may hold the adjunction
+    only at a lower level.  A transport that fails on its stalk, or carries
+    out of it an object checked (all objects when enumerable, else the top and
+    bottom, whose images bound every monotone image), raises SheafError.
+    Transports are assumed to be enriched functors (for Lawvere costs,
+    nonexpansive maps), so a harmonic flow ends `converged` or, also when it
+    grows without bound, `max_iter_reached`.
     """
 
     def __init__(
@@ -175,34 +170,28 @@ class NetworkSheaf:
                     raise SheafError(f"missing corestriction for incidence ({v!r}, {e!r})")
         self.cochains = ProductCategory(
             quantale, {v: self.vertex_lattices[v].category for v in graph.vertices})
-        self.adjunction_levels = {}
-        rng = Random(_LEVEL_SAMPLE_SEED)
-        for e in graph.edges:
-            for v in e:
-                self.adjunction_levels[(v, e)] = self._measure_level(v, e, rng)
+        self.adjunction_levels = {(v, e): self._measure_level(v, e)
+                                  for e in graph.edges for v in e}
 
-    def _measure_level(self, v, e, rng: Random):
-        """Adjunction level of one incidence: the unit for an identity pair on
-        one lattice, else measured over all stalk objects or over a sample and
-        its restriction images.  The transports must carry these
-        into the stalks; sampled stalks add their top and bottom, whose images
-        bound every monotone image."""
+    def _measure_level(self, v, e):
+        """Check one incidence's transports and return its level (see the class)."""
         lat_v, lat_e = self.vertex_lattices[v], self.edge_lattices[e]
         f, g = self.restrictions[(v, e)], self.corestrictions[(e, v)]
         if lat_v is lat_e and f.kind == g.kind == ("identity",):
             return self.quantale.unit
+        enumerable = lat_v.is_enumerable and lat_e.is_enumerable
         try:
-            if lat_v.is_enumerable and lat_e.is_enumerable:
-                xs, ys, bounds = lat_v.objects(), lat_e.objects(), ((), ())
+            if enumerable:
+                xs, ys = lat_v.objects(), lat_e.objects()
             else:
-                xs = [lat_v.sample_object(rng) for _ in range(_LEVEL_SAMPLE_SIZE)]
-                ys = [f(x) for x in xs]
-                bounds = ((lat_v.top(), lat_v.bottom()), (lat_e.top(), lat_e.bottom()))
-            lat_e.category.require_object(*map(f, [*xs, *bounds[0]]))
-            lat_v.category.require_object(*map(g, [*ys, *bounds[1]]))
+                xs, ys = (lat_v.top(), lat_v.bottom()), (lat_e.top(), lat_e.bottom())
+            lat_e.category.require_object(*map(f, xs))
+            lat_v.category.require_object(*map(g, ys))
         except (TypeError, ValueError) as exc:  # QCategoryError is a ValueError
             raise SheafError(f"transport at incidence ({v!r}, {e!r}) leaves its stalk: {exc}") from None
-        return adjunction_defect_on(self.quantale, lat_v.category, lat_e.category, f, g, xs, ys)
+        if enumerable:
+            return adjunction_defect_on(self.quantale, lat_v.category, lat_e.category, f, g, xs, ys)
+        return transport_level(lat_v.category, f, g) if lat_v is lat_e else self.quantale.bottom
 
     def level(self):
         """Meet of all per-incidence adjunction levels: the Laplacian's fuzziness."""

@@ -18,7 +18,6 @@ meet of the cotensors W(c) -|> S(c) (dually for joins), and check no output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from random import Random
 from typing import Any, Callable, Iterable
 
 from .qcat import (
@@ -114,9 +113,6 @@ class WeightedLattice:
         diagram with weights V(x) = meet_c [W(c), hom(x, S(c))]."""
         return self.weighted_join(WeightedDiagram.of(self.weight_sides(D, "meet", self.objects())))
 
-    def sample_object(self, rng: Random) -> Any:
-        raise NotImplementedError
-
     def _toward(self, kind: str) -> Callable[[Any, Any], Any]:
         """The hom both sides of the weighted-`kind` universal property read at
         a probe x: hom(x, -) for a meet, hom(-, x) for a join."""
@@ -190,9 +186,6 @@ class EnumerableLattice(WeightedLattice):
             raise NoSuchObject(f"no object is a weighted {kind} of {len(D)} objects")
         return found
 
-    def sample_object(self, rng):
-        return self._objects[rng.randrange(len(self._objects))]
-
 
 @dataclass
 class AnalyticOps:
@@ -203,7 +196,6 @@ class AnalyticOps:
     cotensor: Callable[[Any, Any], Any]
     crisp_meet: Callable[[list], Any]
     crisp_join: Callable[[list], Any]
-    sampler: Callable[[Random], Any]
 
     def swapped(self) -> "AnalyticOps":
         return replace(self, tensor=self.cotensor, cotensor=self.tensor,
@@ -227,13 +219,9 @@ class AnalyticLattice(WeightedLattice):
         ops = self.ops
         return ops.crisp_join(list(map(ops.tensor, D.weights, D.objects)))
 
-    def sample_object(self, rng):
-        return self.ops.sampler(rng)
-
 
 def _underline_ops(Q: Quantale) -> AnalyticOps:
-    return AnalyticOps(tensor=Q.mul, cotensor=Q.hom, crisp_meet=Q.meet, crisp_join=Q.join,
-                       sampler=Q.sample)
+    return AnalyticOps(tensor=Q.mul, cotensor=Q.hom, crisp_meet=Q.meet, crisp_join=Q.join)
 
 
 def _power_ops(Q: Quantale, m: int) -> AnalyticOps:
@@ -245,7 +233,6 @@ def _power_ops(Q: Quantale, m: int) -> AnalyticOps:
         cotensor=pointwise(Q.hom),
         crisp_meet=lambda objs: tuple(Q.meet(o[i] for o in objs) for i in range(m)),
         crisp_join=lambda objs: tuple(Q.join(o[i] for o in objs) for i in range(m)),
-        sampler=lambda rng: tuple(Q.sample(rng) for _ in range(m)),
     )
 
 

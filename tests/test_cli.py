@@ -45,6 +45,20 @@ def test_validate_reports_adjunction_levels(tmp_path, fixture_path):
     assert all(r["crisp"] for r in levels)
 
 
+def test_validate_des_with_an_infinite_delay(tmp_path, fixture_path):
+    """inf - inf never reaches a level: b's incidences, whose transpose clips
+    the infinite delay, get the bottom "inf" and the others stay crisp."""
+    payload = json.loads(open(fixture_path("des_line.json")).read())
+    payload["delays"]["b"][0][0] = "inf"
+    p = tmp_path / "des_inf.json"
+    p.write_text(json.dumps(payload))
+    code, lines = _run(tmp_path, "validate", "--input", str(p))
+    assert code == 0
+    levels = {r["vertex"]: r["level"] for r in _records(lines, "adjunction_level")}
+    assert levels == {"a": 0.0, "b": "inf", "c": 0.0}
+    assert _records(lines, "summary")[-1]["level"] == "inf"
+
+
 def test_validate_rejects_broken_category(tmp_path):
     bad = {
         "kind": "category",

@@ -136,17 +136,15 @@ def test_k3_circulant_diverges():
     g = Graph.build(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
     L = lattice_for(UnderlineQ(Q))
     C = L.category
-    from sheafflow.apps.des import _sub_clipped
     rest, corest = {}, {}
     for e in g.edges:
         for v in e:
             w = e[1] if v == e[0] else e[0]
             if (int(v) - int(w)) % 3 == 1:
-                rest[(v, e)] = QFunctor(C, C, lambda x: x, name="id")
-                corest[(e, v)] = QFunctor(C, C, lambda y: y, name="id")
+                rest[(v, e)] = transport("identity", C, C)
             else:
-                rest[(v, e)] = QFunctor(C, C, lambda x: x + 1.0, name="shift")
-                corest[(e, v)] = QFunctor(C, C, lambda y: _sub_clipped(y, 1.0), name="unshift")
+                rest[(v, e)] = transport("affine_shift", C, C, 1.0)
+            corest[(e, v)] = rest[(v, e)].right_adjoint()
     F = NetworkSheaf(g, Q, {v: L for v in g.vertices}, {e: L for e in g.edges},
                      rest, corest)
     assert F.is_crisp()
@@ -239,8 +237,7 @@ def test_transport_leaving_its_stalk_rejected_at_construction():
     g = Graph.build(["a", "b"], [("a", "b")])
     e = g.edges[0]
     ident = transport("identity", L.category, L.category)
-    # only objects below 0.001 leave [0, 1], and no sampled object is one:
-    # the stalk bottom catches it
+    # only objects below 0.001 leave [0, 1]: the stalk bottom catches it
     nudge = QFunctor(L.category, L.category, lambda x: x - 0.001, name="nudge")
     with pytest.raises(SheafError, match="leaves its stalk"):
         NetworkSheaf(g, Q, {"a": L, "b": L}, {e: L},

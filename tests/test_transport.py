@@ -1,10 +1,12 @@
 """Transport kinds: every built map reports its kind, each kind's right
-adjoint transposes exactly where it should, and identity pairs on one
-lattice are certified at the unit without a scan."""
+adjoint transposes exactly where it should, identity pairs on one lattice
+are certified at the unit without a scan, and the levels read off cost
+transport kinds equal the supremum of a sampled reference scan."""
 from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 from itertools import product as iproduct
 from random import Random
@@ -15,9 +17,9 @@ from sheafflow import sheaf
 from sheafflow.adjunction import adjunction_defect
 from sheafflow.apps.des import DesSystem, des_sheaf, perturbed_des_sheaf
 from sheafflow.apps.prefs import PreferenceCategory
-from sheafflow.fileio import load_input
+from sheafflow.fileio import load_input, load_sheaf
 from sheafflow.gen import random_crisp_sheaf
-from sheafflow.qcat import OppositeCategory, QFunctor, UnderlineQ, transport
+from sheafflow.qcat import OppositeCategory, QFunctor, UnderlineQ, object_sort_key, transport
 from sheafflow.quantale import FiniteChainQuantale, LawvereRealsQuantale
 from sheafflow.sheaf import Graph, NetworkSheaf, constant_sheaf
 from sheafflow.wlattice import lattice_for
@@ -76,11 +78,41 @@ def test_des_corestrictions_are_the_restrictions_right_adjoints():
         assert g.kind == ("min_plus_transpose", system.delays[v])
 
 
+LARGE = 1000.0
+
+
+def _reference_objects(lat, rng, n=12):
+    """Reference objects for a level scan: every object of an enumerable
+    stalk, else n draws from its quantale plus, on Lawvere stalks, zero and
+    each point with one large coordinate, where the level of a cost-transport
+    pair is attained."""
+    if lat.is_enumerable:
+        return lat.objects()
+    C = lat.category
+    Q = C.quantale
+    m = getattr(getattr(C, "base", C), "m", None)
+    lawvere = isinstance(Q, LawvereRealsQuantale)
+    if m is None:
+        return [Q.sample(rng) for _ in range(n)] + ([0.0, LARGE] if lawvere else [])
+    extremal = [tuple(LARGE if i == k else 0.0 for i in range(m)) for k in range(-1, m)]
+    return [tuple(Q.sample(rng) for _ in range(m)) for _ in range(n)] + (extremal if lawvere else [])
+
+
+def _reference_level(F, v, e, rng):
+    """Transposition defect of an incidence over the pairs (x, f_v(x')) of
+    reference objects, or over all stalk pairs when enumerable."""
+    lat_v, lat_e = F.vertex_lattices[v], F.edge_lattices[e]
+    f, g = F.restrictions[(v, e)], F.corestrictions[(e, v)]
+    xs = _reference_objects(lat_v, rng)
+    ys = lat_e.objects() if lat_v.is_enumerable and lat_e.is_enumerable else [f(x) for x in xs]
+    return adjunction_defect(f, g, iproduct(xs, ys))
+
+
 def _exact_region_pairs(f, lat_v, rng):
     """(x, y) pairs where f and its right adjoint transpose exactly: y >= c
     for an affine shift by c, images f(x') for max-plus, any y for an
     identity."""
-    xs = [lat_v.sample_object(rng) for _ in range(12)]
+    xs = _reference_objects(lat_v, rng)
     kind = f.kind[0]
     if kind == "affine_shift":
         ys = [f.kind[1] + rng.uniform(0.0, 10.0) for _ in range(12)]
@@ -114,20 +146,9 @@ def test_kinds_without_a_right_adjoint():
 
 
 def _reference_levels(F):
-    """The levels as every incidence was measured before identity pairs were
-    certified: all stalk pairs when enumerable, else 8 draws from one shared
-    Random(7) per incidence, paired with their restriction images."""
+    """Every incidence's reference level, as `_reference_level` measures it."""
     rng = Random(7)
-    levels = {}
-    for v, e, f, g in _incidences(F):
-        lat_v, lat_e = F.vertex_lattices[v], F.edge_lattices[e]
-        if lat_v.is_enumerable and lat_e.is_enumerable:
-            xs, ys = lat_v.objects(), lat_e.objects()
-        else:
-            xs = [lat_v.sample_object(rng) for _ in range(8)]
-            ys = [f(x) for x in xs]
-        levels[(v, e)] = adjunction_defect(f, g, iproduct(xs, ys))
-    return levels
+    return {(v, e): _reference_level(F, v, e, rng) for v, e, _f, _g in _incidences(F)}
 
 
 @pytest.fixture
@@ -184,3 +205,103 @@ def test_only_identity_pairs_on_one_lattice_are_certified(count_level_scans):
     # lattice object than its edge's: both are scanned, the rest certified
     assert [args[3] for args in count_level_scans] == [opaque, ident]
     assert F.adjunction_levels == _reference_levels(F)
+
+
+def _random_des_system(rng, n):
+    """A random tree of n vertices plus one chord, with m x m integer delays."""
+    names = [f"v{i}" for i in range(n)]
+    edges = {tuple(sorted((names[i], names[rng.randrange(i)]))) for i in range(1, n)}
+    edges.add(tuple(sorted(rng.sample(names, 2))))
+    m = rng.randint(1, 3)
+    delays = {v: [[float(rng.randint(0, 6)) for _ in range(m)] for _ in range(m)] for v in names}
+    return DesSystem(m, delays, Graph.build(names, edges))
+
+
+def _uniform_noise(rng, system):
+    return {v: tuple(rng.uniform(0.0, 1.0) for _ in range(system.m)) for v in system.graph.vertices}
+
+
+def _affine_payload(rng, order):
+    """A 4-cycle of Lawvere stalks in `order` with random identity and affine
+    restrictions; each corestriction is derived, an unshift by another
+    constant, or an identity."""
+    edges = [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")]
+    restrictions, corestrictions = {}, {}
+    for u, w in edges:
+        for v in (u, w):
+            key = f"{v}|{u},{w}"
+            c = rng.choice([0.0, 0.5, 1.0, 2.5])
+            restrictions[key] = rng.choice([{"kind": "identity"}, {"kind": "affine_shift", "c": c}])
+            corest = rng.choice([None, {"kind": "identity"},
+                                 {"kind": "affine_unshift", "c": rng.choice([0.0, 1.0, 3.0])}])
+            if corest is not None:
+                corestrictions[key] = corest
+    return {"kind": "sheaf", "quantale": {"kind": "lawvere_reals"}, "stalk": {"kind": order},
+            "vertices": ["0", "1", "2", "3"], "edges": [list(e) for e in edges],
+            "restrictions": restrictions, "corestrictions": corestrictions}
+
+
+def _cost_sheaves():
+    rng = Random(5)
+    for k in range(8):
+        system = _random_des_system(rng, rng.randint(3, 6))
+        yield f"des_sheaf[{k}]", des_sheaf(system)[0]
+        yield f"perturbed_des_sheaf[{k}]", perturbed_des_sheaf(system, _uniform_noise(rng, system))[0]
+    for order in ("underline", "underline_op"):
+        for k in range(4):
+            yield f"affine {order}[{k}]", load_sheaf(_affine_payload(rng, order))[0]
+    yield from ((name, F) for name, F in _sheaf_fixtures() if name == "k3_circulant.json")
+
+
+def test_closed_form_levels_equal_the_reference_supremum():
+    rng = Random(11)
+    kinds = set()
+    for name, F in _cost_sheaves():
+        for v, e, f, g in _incidences(F):
+            level, reference = F.adjunction_levels[(v, e)], _reference_level(F, v, e, rng)
+            assert abs(level - reference) <= 1e-9, (name, v, e, f.kind, g.kind, level, reference)
+            kinds.add((f.kind[0], g.kind[0]))
+    assert kinds >= {("max_plus", "min_plus_transpose"), ("affine_shift", "affine_unshift"),
+                     ("affine_shift", "identity"), ("identity", "affine_unshift"),
+                     ("identity", "identity")}
+
+
+def test_perturbed_level_is_not_optimistic():
+    """Eight random points paired with their images put b's incidence on (b, c)
+    at 0.5: only the point with one large first coordinate, paired with the
+    image of zero, reaches the 1.0 of b's first noise entry."""
+    g = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    system = DesSystem(2, {"a": [[3, 0], [1, 2]], "b": [[0, 0], [3, 3]], "c": [[3, 2], [1, 2]]}, g)
+    noise = {"a": (1.0, 0.2), "b": (1.0, 0.5), "c": (0.1, 0.4)}
+    F, _W = perturbed_des_sheaf(system, noise)
+    assert F.adjunction_levels[("b", ("b", "c"))] == 1.0
+    assert abs(_reference_level(F, "b", ("b", "c"), Random(0)) - 1.0) <= 1e-9
+
+
+def test_an_infinite_delay_gets_the_bottom():
+    """The clipped transpose sends a coordinate whose delay is infinite to 0, so
+    the defect at a point with one large coordinate is that coordinate."""
+    base = _des_system()
+    delays = dict(base.delays, b=((math.inf, 2.0), (1.0, 0.0)))
+    F, _W = des_sheaf(DesSystem(2, delays, base.graph))
+    for v, e, _f, _g in _incidences(F):
+        level = F.adjunction_levels[(v, e)]
+        assert level == (math.inf if v == "b" else 0.0), (v, e, level)
+        if v == "b":
+            assert _reference_level(F, v, e, Random(0)) >= LARGE
+
+
+def test_levels_do_not_depend_on_vertex_names():
+    rng = Random(13)
+    for _ in range(12):
+        system = _random_des_system(rng, rng.randint(6, 12))
+        noise = _uniform_noise(rng, system)
+        names = system.graph.vertices
+        rename = dict(zip(names, reversed(names)))
+        relabeled = DesSystem(system.m, {rename[v]: M for v, M in system.delays.items()},
+                              Graph.build(names, [(rename[u], rename[w]) for u, w in system.graph.edges]))
+        F, _W = perturbed_des_sheaf(system, noise)
+        G, _W = perturbed_des_sheaf(relabeled, {rename[v]: eta for v, eta in noise.items()})
+        for (v, e), level in F.adjunction_levels.items():
+            image = tuple(sorted(map(rename.get, e), key=object_sort_key))
+            assert G.adjunction_levels[(rename[v], image)] == level, (v, e)

@@ -161,7 +161,8 @@ def test_weighted_ops_decompose_into_cotensors_and_tensors(stalk):
     for _ in range(20):
         L = DECOMPOSITION_STALKS[stalk](rng)
         Q = L.quantale
-        D = WeightedDiagram.of((L.sample_object(rng), Q.sample(rng))
+        objs = L.objects()
+        D = WeightedDiagram.of((objs[rng.randrange(len(objs))], Q.sample(rng))
                                for _ in range(rng.randint(0, 3)))
         assert L.weighted_meet(D) == L.crisp_meet([L.cotensor(w, s) for s, w in D.pairs()])
         assert L.weighted_join(D) == L.crisp_join([L.tensor(w, s) for s, w in D.pairs()])
