@@ -76,12 +76,12 @@ def des_sheaf(sys: DesSystem) -> tuple[NetworkSheaf, Weighting]:
 
 
 def des_laplacian_closed_form(sys: DesSystem, W: Weighting, x: Mapping) -> dict:
-    """The one-shot displayed formula for the timing Laplacian, verbatim:
+    """The timing Laplacian in closed form, read off the transport kinds:
 
-        (L x)_v(i') = min_w [ W(v,w) + min_j ( A_v(i',j) - max_i (A_w(i,j) + x_w(i)) )_+ ]
+        (L x)_v(i') = min_w [ W(v,w) + min_j ( max_i (A_w(i,j) + x_w(i)) - A_v(i',j) )_+ ]
 
-    Kept exactly as displayed for cross-checking; the generic
-    corestriction-of-restriction pipeline is authoritative for flows.
+    the clipped min-plus transpose of A_v applied to the far image A_w (x) x_w,
+    computed from the delay matrices alone to cross-check the generic pipeline.
     """
     out = {}
     for v in sys.graph.vertices:
@@ -93,22 +93,19 @@ def des_laplacian_closed_form(sys: DesSystem, W: Weighting, x: Mapping) -> dict:
             vec = []
             for ip in range(sys.m):
                 inner = min(
-                    _sub_clipped(Av[ip][j], max(Aw[i][j] + x[w][i] for i in range(sys.m)))
+                    _sub_clipped(max(Aw[i][j] + x[w][i] for i in range(sys.m)), Av[ip][j])
                     for j in range(sys.m)
                 )
                 vec.append(bound + inner)
             vals.append(tuple(vec))
-        if vals:
-            out[v] = tuple(min(t[i] for t in vals) for i in range(sys.m))
-        else:
-            out[v] = (math.inf,) * sys.m
+        out[v] = tuple(min((t[i] for t in vals), default=math.inf) for i in range(sys.m))
     return out
 
 
 def closed_form_crosscheck(
     sys: DesSystem, F: NetworkSheaf, W: Weighting, cochains: Iterable[Mapping],
 ) -> LawReport:
-    """Compare the displayed closed form against the generic transport meet.
+    """Compare the closed form against the generic transport meet.
 
     A disagreement is reported with a (vertex, coordinate, both values)
     witness rather than patched over.
@@ -123,7 +120,7 @@ def closed_form_crosscheck(
             for i in range(sys.m):
                 rep.check("closed-form-agrees", R.eq(generic[v][i], closed[v][i]),
                           (v, i, generic[v][i], closed[v][i]),
-                          f"generic {generic[v][i]!r} vs displayed {closed[v][i]!r}")
+                          f"generic {generic[v][i]!r} vs closed form {closed[v][i]!r}")
     return rep
 
 

@@ -5,12 +5,12 @@ command reads one JSON input file (--input), writes line-delimited JSON
 records with sorted keys (--output, default stdout), and echoes --seed, so a
 fixed seed gives byte-identical output.  The other flags exist only on the
 subcommands that read them: --max-iter (>= 0) on flow, des, prefs and paths
-(where --schedule dijkstra rejects it); --tolerance (>= 0) on all but paths;
---grid (>= 1) on verify; --schedule on paths.  One table keyed by input
-kind says which subcommands take each kind, how each is run, and which
-quantale --tolerance overrides.  Exit status: 0 on success, 1 when a
-validation or verification check fails or stdout is closed before the
-output is written, 2 when the input or a flag cannot be used.
+(where --schedule dijkstra rejects it); --grid (>= 1) on verify; --schedule
+on paths.  A quantale's comparison tolerance is set in its input descriptor.
+One table keyed by input kind says which subcommands take each kind and how
+each is run.  Exit status: 0 on success, 1 when a validation or verification
+check fails or stdout is closed before the output is written, 2 when the
+input or a flag cannot be used.
 """
 from __future__ import annotations
 
@@ -72,9 +72,6 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-iter", type=_at_least(0, int),
                             default=None if name == "paths" else _MAX_ITER,
                             help=f"flow iteration cap (>= 0, default {_MAX_ITER})")
-        if name != "paths":
-            sp.add_argument("--tolerance", type=_at_least(0.0, float), default=None,
-                            help="override the quantale comparison tolerance (>= 0)")
         if name == "verify":
             sp.add_argument("--grid", type=_at_least(1, int), default=1000,
                             help="grid resolution for residual cross-checks (>= 1)")
@@ -148,12 +145,10 @@ def _verify_sheaf(s, args, out, rng) -> bool:
     if cochains:
         rep = check_suffix_section_lemmas(F, W, q=F.quantale.unit, cochains=cochains)
         ok = _report_lines(rep, out, args.seed, "descent-lemmas")
-    if system is not None:
-        slacks = des_app.agreement_slacks(system, W, initial)
-        for sl in slacks:
+    if system is not None:  # the start schedule's agreement, for information
+        for sl in des_app.agreement_slacks(system, W, initial):
             emit({"record": "slack", **{k: sl[k] for k in ("v", "w", "lhs", "bound", "slack")},
                   "seed": args.seed}, out)
-        ok = ok and all(sl["slack"] >= -1e-9 for sl in slacks)
     emit({"record": "summary", "level": F.level(), "ok": ok, "seed": args.seed}, out)
     return ok
 
@@ -295,19 +290,15 @@ _SHEAF_COMMANDS = {"validate": _validate_sheaf, "verify": _verify_sheaf,
                    "flow": _flow, "sections": _sections}
 
 # input kind -> (loaded input -> the subject its commands take,
-#                subject -> the quantale --tolerance overrides, or None,
 #                subcommand -> command)
 _KINDS = {
-    "quantale": (_same, _same, {"validate": _quantale_laws, "verify": _verify_quantale}),
-    "category": (_same, lambda C: C.quantale,
-                 {"validate": _category_laws, "verify": _category_laws}),
-    "sheaf": (lambda loaded: (*loaded, None), lambda s: s[0].quantale, _SHEAF_COMMANDS),
+    "quantale": (_same, {"validate": _quantale_laws, "verify": _verify_quantale}),
+    "category": (_same, {"validate": _category_laws, "verify": _category_laws}),
+    "sheaf": (lambda loaded: (*loaded, None), _SHEAF_COMMANDS),
     "des": (lambda system: (*des_app.des_sheaf(system), system.initial, system),
-            lambda s: s[0].quantale, {**_SHEAF_COMMANDS, "des": _des}),
-    "paths": (_same, None, {"validate": _validate_paths, "verify": _verify_paths,
-                            "paths": _paths}),
-    "prefs": (_same, lambda data: data["quantale"],
-              {"validate": _validate_prefs, "verify": _verify_prefs, "prefs": _prefs}),
+            {**_SHEAF_COMMANDS, "des": _des}),
+    "paths": (_same, {"validate": _validate_paths, "verify": _verify_paths, "paths": _paths}),
+    "prefs": (_same, {"validate": _validate_prefs, "verify": _verify_prefs, "prefs": _prefs}),
 }
 
 
@@ -325,17 +316,14 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     try:
         kind, loaded = load_input(args.input)
-        prepare, quantale_of, commands = _KINDS[kind]
+        prepare, commands = _KINDS[kind]
         if args.command not in commands:
-            accepted = " or ".join(repr(k) for k, spec in _KINDS.items() if args.command in spec[2])
+            accepted = " or ".join(repr(k) for k, spec in _KINDS.items() if args.command in spec[1])
             raise InputFormatError(
                 f"field 'kind' must be {accepted} for this command, got {kind!r}")
         subject = prepare(loaded)
     except InputFormatError as exc:
         return _input_error(exc)
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and quantale_of is not None:
-        quantale_of(subject).tolerance = tolerance
     try:
         out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     except OSError as exc:

@@ -87,11 +87,18 @@ def _object(v: Any, where: str) -> dict:
 
 
 def _fields(v: Any, known: Iterable[str], where: str) -> dict:
-    """A JSON object whose every key is one of `known`."""
+    """A JSON object whose every key is one of `known`.  The message for an
+    unknown key names the known key with its edge endpoints swapped, if any,
+    and lists at most ten known keys, so it stays short on large graphs."""
+    known = list(known)
     unread = sorted(set(_object(v, where)) - set(known))
     if unread:
-        raise InputFormatError(
-            f"{where} has unknown field {unread[0]!r}; it reads: {' '.join(known)}")
+        head, bar, edge = unread[0].rpartition("|")
+        swapped = head + bar + ",".join(reversed(edge.split(",")))
+        hint = f" (did you mean {swapped!r}?)" if swapped in known else ""
+        more = f" ... ({len(known)} in all)" if len(known) > 10 else ""
+        raise InputFormatError(f"{where} has unknown field {unread[0]!r}{hint}; "
+                               f"it reads: {' '.join(known[:10])}{more}")
     return v
 
 

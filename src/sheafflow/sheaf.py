@@ -14,7 +14,9 @@ into v.  Harmonic flow iterates x <- weighted meet of (Lx, x) weighted
 (omega1, omega2), that is omega1 -|> Lx  meet  omega2 -|> x.
 
 Cochains live in `F.cochains`, the product of the vertex stalks indexed by
-the vertices: its hom is the meet over vertices of the stalk homs.
+the vertices: its hom is the meet over vertices of the stalk homs.  The
+incidences are listed once: a `Graph` lists each vertex's neighbours when it
+is built, and a `NetworkSheaf` each vertex's incoming row (w, g_v, f_w).
 
 Operators (`laplacian`, `flow_step`) trust their inputs, since weighted meets
 keep a cochain in its stalks; entry points that take a caller's cochain
@@ -42,10 +44,19 @@ class SheafError(QCategoryError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges are sorted vertex pairs."""
+    """Simple undirected graph; edges are sorted vertex pairs.  Construction
+    lists each vertex's neighbours once, in order, outside equality and hash."""
 
     vertices: tuple
     edges: tuple
+    _adjacency: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacency = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adjacency[e[0]].append((e[1], e))
+            adjacency[e[1]].append((e[0], e))
+        object.__setattr__(self, "_adjacency", {v: tuple(ps) for v, ps in adjacency.items()})
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable) -> "Graph":
@@ -69,15 +80,9 @@ class Graph:
         vs_sorted = tuple(sorted(vs, key=object_sort_key))
         return cls(vs_sorted, tuple(sorted(out, key=lambda e: (object_sort_key(e[0]), object_sort_key(e[1])))))
 
-    def neighbors(self, v) -> list[tuple]:
-        """Sorted (neighbor, edge) pairs."""
-        out = []
-        for e in self.edges:
-            if v == e[0]:
-                out.append((e[1], e))
-            elif v == e[1]:
-                out.append((e[0], e))
-        return sorted(out, key=lambda p: object_sort_key(p[0]))
+    def neighbors(self, v) -> tuple:
+        """(neighbor, edge) pairs, sorted by neighbour."""
+        return self._adjacency[v]
 
     def adjacent_pairs(self) -> list[tuple]:
         """All ordered adjacent (v, w, edge) triples, deterministic order."""
@@ -134,7 +139,8 @@ class NetworkSheaf:
     from `qcat.transport_level`; any other incidence gets the quantale's
     bottom, which promises nothing.  The Laplacian feeds g_v the far
     endpoint's images f_w(x_w), where a max-plus pair may hold the adjunction
-    only at a lower level.  A transport that fails on its stalk, or carries
+    only at a lower level; `incoming[v]`, built here, lists (w, g_v, f_w) for
+    v's neighbours w in order.  A transport that fails on its stalk, or carries
     out of it an object checked (all objects when enumerable, else the top and
     bottom, whose images bound every monotone image), raises SheafError.
     Transports are assumed to be enriched functors (for Lawvere costs,
@@ -172,6 +178,9 @@ class NetworkSheaf:
             quantale, {v: self.vertex_lattices[v].category for v in graph.vertices})
         self.adjunction_levels = {(v, e): self._measure_level(v, e)
                                   for e in graph.edges for v in e}
+        self.incoming = {v: tuple((w, self.corestrictions[(e, v)], self.restrictions[(w, e)])
+                                  for w, e in graph.neighbors(v))
+                         for v in graph.vertices}
 
     def _measure_level(self, v, e):
         """Check one incidence's transports and return its level (see the class)."""
@@ -199,10 +208,6 @@ class NetworkSheaf:
 
     def is_crisp(self) -> bool:
         return self.quantale.eq(self.level(), self.quantale.unit)
-
-    def transport(self, w, v, e, obj):
-        """Carry a stalk object of w across e into v's stalk."""
-        return self.corestrictions[(e, v)](self.restrictions[(w, e)](obj))
 
     def check_cochain(self, x: Cochain) -> None:
         for v in self.graph.vertices:
@@ -278,10 +283,9 @@ def laplacian(F: NetworkSheaf, W: Weighting, x: Cochain) -> Cochain:
     """At every vertex v, one weighted meet of the neighbours' transports
     g_v(f_w(x_w)) weighted W(v, w); the stalk top at isolated vertices."""
     out = {}
-    for v in F.graph.vertices:
-        nbrs = F.graph.neighbors(v)
+    for v, row in F.incoming.items():
         out[v] = F.vertex_lattices[v].weighted_meet(WeightedDiagram(
-            [F.transport(w, v, e, x[w]) for w, e in nbrs], [W(v, w) for w, _e in nbrs]))
+            [g(f(x[w])) for w, g, f in row], [W(v, w) for w, _g, _f in row]))
     return out
 
 

@@ -119,7 +119,7 @@ def test_des_command_outputs_slacks_and_closed_form(tmp_path, fixture_path):
     assert len(slacks) == 4
     assert all(r["slack"] >= -1e-9 for r in slacks)
     cf = _records(lines, "closed_form")[0]
-    assert cf["mismatches"] > 0  # displayed formula disagrees with transport meet
+    assert cf["matches"] is True and cf["mismatches"] == 0
 
 
 def test_paths_both_schedules(tmp_path, fixture_path):
@@ -339,9 +339,10 @@ FLAG_PROBES = [
     ("prefs", "prefs_chain.json", ["--max-iter", "-1"], "--max-iter"),
     ("flow", "k3_circulant.json", ["--max-iter", "-3"], "--max-iter"),
     ("verify", "quantale_chain4.json", ["--grid", "0"], "--grid"),
+    # flags a subcommand never reads are no longer accepted; a tolerance is
+    # set in the quantale descriptor, so no subcommand reads --tolerance
     ("flow", "k3_circulant.json", ["--tolerance", "-1"], "--tolerance"),
     ("flow", "k3_circulant.json", ["--tolerance", "nan"], "--tolerance"),
-    # flags a subcommand never reads are no longer accepted
     ("sections", "sheaf_bool_edge.json", ["--max-iter", "5"], "--max-iter"),
     ("paths", "paths_small.json", ["--tolerance", "0.1"], "--tolerance"),
     ("flow", "k3_circulant.json", ["--grid", "10"], "--grid"),
@@ -358,6 +359,15 @@ def test_bad_flag_exits_two_naming_it(tmp_path, fixture_path, capsys, command, n
     assert _exit_code([command, "--input", fixture_path(name), *flags]) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err, err
+
+
+def test_verify_reports_a_start_schedule_out_of_sync_without_failing(tmp_path, fixture_path):
+    # the start schedule's slacks are information: no law is violated
+    path = _variant(tmp_path, fixture_path, "des_line.json", _set(("initial", "a"), [100, 100]))
+    code, lines = _run(tmp_path, "verify", "--input", path)
+    assert code == 0
+    assert -89.0 in [r["slack"] for r in _records(lines, "slack")]
+    assert _records(lines, "summary")[-1]["ok"] is True and not _records(lines, "violation")
 
 
 def test_prefs_weighting_is_used_without_eps(tmp_path, fixture_path):

@@ -96,18 +96,56 @@ def test_agreement_slacks_nonnegative_at_fixed_point():
     assert by_pair[("b", "a")]["lhs"] == pytest.approx(1.0)
 
 
-def test_closed_form_crosscheck_reports_mismatch_with_witness():
+def _displayed_formula(sys_, W, x):
+    """Erratum: the displayed one-shot formula for the timing Laplacian, verbatim,
+
+        (L x)_v(i') = min_w [ W(v,w) + min_j ( A_v(i',j) - max_i (A_w(i,j) + x_w(i)) )_+ ],
+
+    subtracts the far image from the delay.  The corestriction applies
+    (y_j - A_v(i',j))_+ to y = A_w (x) x_w, the other way round, so the two
+    differ on generic data; on the line system at a, coordinate 0, the
+    transport meet gives 11.0 and this formula 4.0."""
+    out = {}
+    for v in sys_.graph.vertices:
+        Av = sys_.delays[v]
+        vals = [tuple(W(v, w) + min(_sub_clipped(Av[ip][j], max(sys_.delays[w][i][j] + x[w][i]
+                                                                for i in range(sys_.m)))
+                                    for j in range(sys_.m))
+                      for ip in range(sys_.m))
+                for w, _e in sys_.graph.neighbors(v)]
+        out[v] = tuple(min(t[i] for t in vals) for i in range(sys_.m))
+    return out
+
+
+def test_closed_form_crosscheck_reports_mismatch_with_witness(monkeypatch):
     sys_ = _line_system(bound=4.0)
     F, W = des_sheaf(sys_)
+    assert closed_form_crosscheck(sys_, F, W, [INITIAL]).ok
+    assert des_laplacian_closed_form(sys_, W, INITIAL)["a"][0] == 11.0
+    # the displayed formula (the erratum above) is caught with its witness
+    monkeypatch.setattr("sheafflow.apps.des.des_laplacian_closed_form", _displayed_formula)
     rep = closed_form_crosscheck(sys_, F, W, [INITIAL])
     assert not rep.ok
     first = rep.violations[0]
     assert first.law == "closed-form-agrees"
     assert first.witness == ("a", 0, 11.0, 4.0)
-    # the displayed formula's inner difference runs the other way, so the
-    # two sides genuinely differ on generic data; record, don't patch
-    closed = des_laplacian_closed_form(sys_, W, INITIAL)
-    assert closed["a"][0] == 4.0
+
+
+def test_closed_form_agrees_on_every_iterate_of_random_flows():
+    rng = Random(0xDE5)
+    for _ in range(20):
+        n, m = rng.randint(2, 5), rng.randint(1, 3)
+        g = Graph.build(range(n), [(i, i + 1) for i in range(n - 1)]
+                        + [(0, n - 1)] * (n > 2 and rng.random() < 0.5))
+        delays = {v: [[rng.choice([0, 1, 2, 5, math.inf]) for _ in range(m)] for _ in range(m)]
+                  for v in g.vertices}
+        weights = {(v, w): rng.uniform(0, 3) for v, w, _ in g.adjacent_pairs()}
+        sys_ = DesSystem(m, delays, g, rng.choice([weights, None]))
+        F, W = des_sheaf(sys_)
+        x0 = {v: tuple(rng.uniform(0, 20) for _ in range(m)) for v in g.vertices}
+        trace = harmonic_flow(F, W, x0, max_iter=30)
+        rep = closed_form_crosscheck(sys_, F, W, [s.cochain for s in trace.iterations])
+        assert rep.ok, rep.violations[:3]
 
 
 def test_perturbed_levels_equal_max_noise():

@@ -134,6 +134,26 @@ def test_missing_restriction_incidence_named(tmp_path):
     assert "v|u,v" in str(exc.value)
 
 
+def test_unknown_incidence_message_is_short_and_names_the_swapped_key(tmp_path):
+    n = 8000
+    names = [f"v{i}" for i in range(n)]
+    edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
+    incidences = [f"{v}|{a},{b}" for a, b in (sorted(e) for e in edges) for v in (a, b)]
+    restrictions = dict.fromkeys(incidences, {"kind": "identity"})
+    del restrictions["v0|v0,v7999"]
+    restrictions["v0|v7999,v0"] = {"kind": "identity"}
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps({"kind": "sheaf", "quantale": {"kind": "lawvere_reals"},
+                             "vertices": names, "edges": edges, "stalk": {"kind": "underline"},
+                             "restrictions": restrictions}))
+    with pytest.raises(InputFormatError) as exc:
+        load_input(str(p))
+    message = str(exc.value)
+    assert len(message) < 2000, len(message)
+    assert "'v0|v7999,v0'" in message and "'v0|v0,v7999'" in message
+    assert "16000 in all" in message
+
+
 def test_bad_edge_triple_named(tmp_path):
     p = tmp_path / "paths.json"
     p.write_text(json.dumps({"kind": "paths", "edges": [["a", "b"]], "source": "a"}))

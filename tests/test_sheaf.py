@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
 from sheafflow.apps.des import DesSystem, des_sheaf
 from sheafflow.fileio import load_sheaf
 from sheafflow.gen import random_cochain, random_crisp_sheaf
-from sheafflow.qcat import QFunctor, UnderlineQ, transport
+from sheafflow.qcat import QFunctor, UnderlineQ, object_sort_key, transport
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
@@ -222,6 +223,40 @@ def test_graph_validation():
         Graph.build(["a"], [("a", "z")])
 
 
+def _scanned_neighbors(g, v):
+    """The reference neighbour list: scan every edge for v, then sort."""
+    out = [(e[1] if v == e[0] else e[0], e) for e in g.edges if v in e]
+    return sorted(out, key=lambda p: object_sort_key(p[0]))
+
+
+def test_neighbors_equal_a_scan_of_the_edges():
+    """The adjacency listed once per graph equals the per-call scan-and-sort,
+    on random graphs whose vertex names mix strings, integers and tuples."""
+    rng = random.Random(0xAD1)
+    for _ in range(300):
+        names = rng.sample([f"v{i}" for i in range(12)] + list(range(12))
+                           + [(chr(97 + i), i) for i in range(12)], rng.randint(1, 12))
+        pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
+        edges = [p if rng.random() < 0.5 else p[::-1]
+                 for p in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        g = Graph.build(names, edges)
+        assert all(list(g.neighbors(v)) == _scanned_neighbors(g, v) for v in g.vertices)
+
+
+def test_laplacian_on_a_large_ring_reads_each_incidence_once():
+    """One Laplacian costs O(V + E): 8,000 vertices take well under a second."""
+    Q = LawvereRealsQuantale()
+    n = 8000
+    g = Graph.build(range(n), [(i, (i + 1) % n) for i in range(n)])
+    F = constant_sheaf(g, Q, lattice_for(UnderlineQ(Q)))
+    W = Weighting(g, Q)
+    x = {v: float(v % 7) for v in g.vertices}
+    t0 = time.perf_counter()
+    Lx = laplacian(F, W, x)
+    assert time.perf_counter() - t0 < 0.5
+    assert Lx[0] == max(x[1], x[n - 1])
+
+
 def test_weighting_validation():
     Q = BooleanQuantale()
     g = Graph.build(["a", "b"], [("a", "b")])
@@ -249,7 +284,7 @@ def test_constant_sheaf_has_identity_transports():
     g = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
     F = constant_sheaf(g, Q, lattice_for(UnderlineQ(Q)))
     assert F.is_crisp()
-    assert all(F.transport(w, v, e, x) == x
+    assert all(F.corestrictions[(e, v)](F.restrictions[(w, e)](x)) == x
                for v, w, e in g.adjacent_pairs() for x in Q.elements())
 
 
@@ -266,7 +301,8 @@ def test_laplacian_and_flow_step_are_crisp_meets_of_cotensors():
             for v in F.graph.vertices:
                 lat = F.vertex_lattices[v]
                 assert Lx[v] == lat.crisp_meet(
-                    [lat.cotensor(W(v, w), F.transport(w, v, e, x[w]))
+                    [lat.cotensor(W(v, w),
+                                  F.corestrictions[(e, v)](F.restrictions[(w, e)](x[w])))
                      for w, e in F.graph.neighbors(v)])
             step = flow_step(F, W, x, w1, w2, Lx=Lx)
             assert step == {v: F.vertex_lattices[v].crisp_meet(
