@@ -1,18 +1,23 @@
 """JSON input loading and line-delimited JSON output.
 
 Input files are a single JSON object with a "kind" field selecting the
-payload shape: quantale, category, sheaf, des, paths, or prefs.  Infinite
-costs serialize as the string "inf".  Each shape that recurs across kinds
-(a graph, a per-vertex map, a finite category, a number) has one reader,
-and every reader raises InputFormatError naming the field.  Output records
-are emitted one JSON object per line with sorted keys so runs with the same
-seed are byte-identical.
+payload shape: quantale, category, sheaf, des, paths, or prefs.  Input is
+read as I-JSON (RFC 7493): no object repeats a name, every integer fits a
+double, and a boolean stands only where a field asks for true or false.
+Infinite costs serialize as the string "inf".  Each shape that recurs across
+kinds (a graph, a per-vertex map, a finite category, a number) has one
+reader, and every reader raises InputFormatError naming the field.  Output
+records are emitted one JSON object per line with sorted keys so runs with
+the same seed are byte-identical.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, IO, Iterable, Mapping
+import reprlib
+import sys
+from collections.abc import Mapping  # isinstance on it is three times as fast as on typing's
+from typing import Any, Callable, IO, Iterable
 
 from .apps.des import DesSystem
 from .apps.prefs import PreferenceCategory
@@ -50,7 +55,7 @@ def encode_value(v: Any) -> Any:
         return [encode_value(c) for c in v]
     if isinstance(v, (set, frozenset)):
         return {"set": sorted((encode_value(c) for c in v), key=str)}
-    if isinstance(v, Mapping):
+    if type(v) is dict or isinstance(v, Mapping):
         return {_key_str(k): encode_value(val) for k, val in v.items()}
     return v
 
@@ -114,13 +119,29 @@ def _list(v: Any, where: str) -> list:
     return _expect(isinstance(v, list), v, where, "a list")
 
 
+_LARGEST = int(sys.float_info.max)
+
+
+def _plain(x: Any) -> bool:
+    """No boolean, and no integer beyond the range of a double, anywhere in x."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, int):
+        return abs(x) <= _LARGEST
+    return not isinstance(x, (tuple, frozenset)) or all(map(_plain, x))
+
+
 def _value(v: Any, where: str) -> Any:
-    """A decoded value; it must be hashable, so objects other than {"set": [...]} fail."""
+    """A decoded value: hashable, so objects other than {"set": [...]} fail,
+    and plain (see `_plain`)."""
     try:
         x = decode_value(v)
         hash(x)
     except TypeError:
         raise InputFormatError(f"{where} must hold numbers, strings, lists or sets, got {v!r}") from None
+    if not _plain(x):
+        raise InputFormatError(f"{where} must hold no boolean and no integer beyond the range "
+                               f"of a double, got {reprlib.repr(v)}")
     return x
 
 
@@ -128,13 +149,12 @@ def _number(v: Any, where: str, minimum: float = -math.inf) -> float:
     """A JSON number or "inf", at least `minimum`; NaN fails every comparison."""
     x = _value(v, where)
     bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-    _expect(isinstance(x, (int, float)) and not isinstance(x, bool) and x >= minimum,
-            v, where, f"a number{bound}")
+    _expect(isinstance(x, (int, float)) and x >= minimum, v, where, f"a number{bound}")
     return float(x)
 
 
 def _integer(v: Any, where: str, minimum: int) -> int:
-    return _expect(isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+    return _expect(isinstance(v, int) and _plain(v) and v >= minimum,
                    v, where, f"an integer >= {minimum}")
 
 
@@ -205,6 +225,8 @@ def _finite_category(Q: Quantale, desc: Any, field: str) -> FiniteQCategory:
 
 def load_quantale(payload: Mapping) -> Quantale:
     desc = _object(_need(payload, "quantale", "this input"), "field 'quantale'")
+    for key, v in desc.items():
+        _value(v, f"field 'quantale' at {key!r}")
     try:
         return from_descriptor(desc)
     except (QuantaleError, TypeError) as exc:
@@ -432,16 +454,57 @@ _INPUT_FIELDS = {"quantale": "quantale", "category": "quantale category",
                  "prefs": "quantale alternatives vertices edges initial eps weighting"}
 
 
+def _path_to(node: Any, target: dict, path: tuple = ()) -> tuple | None:
+    """The keys that lead from `node` to the object `target`, or None."""
+    if node is target:
+        return path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        found = _path_to(child, target, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _parse(path: str) -> Any:
+    repeats = []  # (object, a name it gives twice), as the parser completes objects
+
+    def unique_names(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            repeats.append((obj, next(k for k, _v in pairs if k in seen or seen.add(k))))
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh, object_pairs_hook=unique_names)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read input file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"input is not valid JSON: {exc}") from exc
+    except ValueError:  # int() refuses to read a number this long
+        raise InputFormatError(f"input has a number of more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
+    for obj, name in repeats:  # an object that a repeated name overwrote is not in the payload
+        where = _path_to(payload, obj)
+        if where == ():
+            raise InputFormatError(f"the input file repeats field {name!r}")
+        if where is not None:
+            inner = f" at {'/'.join(map(str, where[1:]))!r}" if where[1:] else ""
+            raise InputFormatError(f"field {where[0]!r}{inner} repeats the name {name!r}")
+    return payload
+
+
 def load_input(path: str) -> tuple[str, Any]:
     """Read and dispatch an input file; returns (kind, loaded payload)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read input file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"input is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputFormatError("input must be a JSON object with field 'kind'")
-    kind = _kind(payload, _INPUT_FIELDS, "the input file")
-    return kind, _LOADERS[kind](payload)
+        payload = _parse(path)
+        if not isinstance(payload, dict):
+            raise InputFormatError("input must be a JSON object with field 'kind'")
+        kind = _kind(payload, _INPUT_FIELDS, "the input file")
+        return kind, _LOADERS[kind](payload)
+    except RecursionError:
+        raise InputFormatError("input nests too deeply") from None

@@ -9,8 +9,9 @@ formula and may have non-enumerable object sets.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping  # isinstance on it is three times as fast as on typing's
 from itertools import product as iproduct
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 from .quantale import LawvereRealsQuantale, Quantale
 from .report import LawReport
@@ -272,7 +273,7 @@ class QFunctor:
         self.codomain = codomain
         # a table is read through its lookup, chosen once here rather than
         # tested on every call
-        self._is_table = isinstance(mapping, Mapping)
+        self._is_table = type(mapping) is dict or isinstance(mapping, Mapping)
         self._apply = mapping.__getitem__ if self._is_table else mapping
         self.name = name or ("{...}" if self._is_table else getattr(mapping, "__name__", "fn"))
         self.kind = ("table",) if self._is_table else None

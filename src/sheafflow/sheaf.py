@@ -29,8 +29,8 @@ from itertools import product as iproduct
 from typing import Any, Callable, Iterable, Mapping
 
 from .adjunction import adjunction_defect
-from .qcat import (FiniteQCategory, ProductCategory, QCategoryError, QFunctor, object_sort_key,
-                   transport, transport_level)
+from .qcat import (ProductCategory, QCategoryError, QFunctor, object_sort_key, transport,
+                   transport_level)
 from .quantale import Quantale
 from .report import LawReport
 from .wlattice import WeightedDiagram, WeightedLattice
@@ -270,13 +270,10 @@ def _edge_homs(F: NetworkSheaf, x: Cochain) -> list[tuple]:
             for v, w, e in F.graph.adjacent_pairs()]
 
 
-def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], FiniteQCategory]:
-    """All fuzzy global sections (enumerable stalks) plus their hom category."""
-    sections = [x for x in F.cochains.iter_objects() if is_fuzzy_global_section(F, W, x).ok]
-    objs = [tuple(x.values()) for x in sections]
-    hom = {(a, b): F.cochains.hom(xa, xb)
-           for a, xa in zip(objs, sections) for b, xb in zip(objs, sections)}
-    return sections, FiniteQCategory(F.quantale, objs, hom)
+def global_sections(F: NetworkSheaf, W: Weighting) -> tuple[list[Cochain], ProductCategory]:
+    """All fuzzy global sections (enumerable stalks), and `F.cochains`, whose
+    hom between two of them is their hom in the full subcategory of sections."""
+    return [x for x in F.cochains.iter_objects() if is_fuzzy_global_section(F, W, x).ok], F.cochains
 
 
 def laplacian(F: NetworkSheaf, W: Weighting, x: Cochain) -> Cochain:

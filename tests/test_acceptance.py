@@ -24,7 +24,7 @@ from sheafflow.cli import main as cli_main
 from sheafflow.fileio import load_input
 from sheafflow.fixpoint import FixpointQuery, verify_tarski
 from sheafflow.gen import (
-    random_cochain, random_connected_graph, random_crisp_sheaf,
+    random_cochain, random_crisp_sheaf,
     random_diagram, random_lattice, random_monotone_endofunctor,
 )
 from sheafflow.oracle import (
@@ -44,6 +44,7 @@ from sheafflow.sheaf import (
 from sheafflow.wlattice import WeightedDiagram
 
 from conftest import fixture_path
+from corpora import corpus
 
 
 def _conclude(num: int, detail: str, t0: float, cap: float) -> None:
@@ -134,13 +135,12 @@ def test_criterion_03_enriched_tarski():
 
 def test_criterion_04_hodge_correspondence():
     t0 = time.monotonic()
-    rng = Random(0xACC4)
-    for trial in range(50):
-        F, W = random_crisp_sheaf(rng)
+    for trial, case in enumerate(corpus("criterion4")):
+        F, W = case.F, case.W
         Q = F.quantale
         verts = F.graph.vertices
         fixed, suffix, sections = set(), set(), set()
-        for x in F.cochains.objects():
+        for x in case.cochains:
             key = tuple(x[v] for v in verts)
             if F.cochains.iso(x, flow_step(F, W, x)):
                 fixed.add(key)
@@ -154,10 +154,7 @@ def test_criterion_04_hodge_correspondence():
         assert {tuple(s[v] for v in verts) for s in listed} == sections, trial
         for y1 in listed:
             for y2 in listed:
-                assert Q.eq(
-                    cat.hom(tuple(y1[v] for v in verts), tuple(y2[v] for v in verts)),
-                    F.cochains.hom(y1, y2),
-                ), trial
+                assert Q.eq(cat.hom(y1, y2), F.cochains.hom(y1, y2)), trial
     _conclude(4, "50 seeded crisp sheaves: flow fixed points = unit-level suffix "
                  "points = fuzzy global sections, with matching homs", t0, 60.0)
 
@@ -169,10 +166,7 @@ def _span_cochains(rng, m, verts, count, lo, hi):
 
 def test_criterion_05_fuzzy_lemmas_and_perturbation():
     t0 = time.monotonic()
-    g = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    delays = {"a": [[1, 3], [2, 1]], "b": [[0, 2], [1, 0]], "c": [[2, 0], [0, 1]]}
-    weights = {(v, w): 4.0 for v, w, _ in g.adjacent_pairs()}
-    sys_ = DesSystem(2, delays, g, weights)
+    sys_ = corpus("des-line")[0].source  # the line a-b-c, every weight 4.0
     rng = Random(0xACC5)
 
     # idempotent case: the crisp base sheaf (level = unit, trivially idempotent)
@@ -216,10 +210,8 @@ def test_criterion_05_fuzzy_lemmas_and_perturbation():
 
 def test_criterion_06_shortest_paths_match_oracle():
     t0 = time.monotonic()
-    rng = Random(0xACC6)
-    for trial in range(100):
-        verts, edges = random_connected_graph(rng, max_vertices=50, max_weight=20)
-        src = verts[rng.randrange(len(verts))]
+    for trial, case in enumerate(corpus("paths")):
+        verts, edges, src = case.source
         want = classic_shortest_paths(edges, src, vertices=verts)
         for mode in MODES:
             res = shortest_paths(edges, src, mode=mode, vertices=verts)
@@ -271,14 +263,9 @@ def test_criterion_08_projection_property():
 
 def test_criterion_09_des_synchronization():
     t0 = time.monotonic()
-    systems = []
-    g3 = Graph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    systems.append((
-        DesSystem(2, {"a": [[1, 3], [2, 1]], "b": [[0, 2], [1, 0]],
-                      "c": [[2, 0], [0, 1]]}, g3,
-                  {(v, w): 0.5 for v, w, _ in g3.adjacent_pairs()}),
-        {"a": (9.0, 7.0), "b": (8.0, 8.0), "c": (6.0, 9.0)},
-    ))
+    line = corpus("des-line")[0]
+    systems = [(DesSystem(2, line.source.delays, line.source.graph,
+                          dict.fromkeys(line.source.weights, 0.5)), line.cochains[0])]
     g2 = Graph.build(["p", "q"], [("p", "q")])
     systems.append((
         DesSystem(3, {"p": [[0, 1, 2], [2, 0, 1], [1, 2, 0]],

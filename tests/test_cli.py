@@ -1,5 +1,7 @@
 """Command-line driver: outputs, determinism, and exit codes."""
+import functools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -194,10 +196,11 @@ def test_version_flag():
 
 
 def _variant(tmp_path, fixture_path, name, edit):
+    """The fixture edited in place by `edit`, or the text `edit` returns."""
     payload = json.loads(open(fixture_path(name)).read())
-    edit(payload)
+    text = edit(payload)
     p = tmp_path / f"variant-{name}"
-    p.write_text(json.dumps(payload))
+    p.write_text(text if isinstance(text, str) else json.dumps(payload))
     return str(p)
 
 
@@ -208,6 +211,17 @@ def _set(path, value):
         for key in outer:
             node = node[key]
         node[last] = value
+    return edit
+
+
+def _raw(path, text):
+    """Write `text(old value)` verbatim at `path`, for what json.dumps cannot
+    write: a repeated name, a 5,000-digit number, deep nesting, Infinity."""
+    def edit(payload):
+        *outer, last = path
+        node = functools.reduce(operator.getitem, outer, payload)
+        old, node[last] = node.get(last), "\0raw"
+        return json.dumps(payload).replace(json.dumps("\0raw"), text(old))
     return edit
 
 
@@ -311,6 +325,39 @@ PROBES = {
     "maxplus-delays-3x2": ("flow", "k3_circulant.json",
                            _maxplus_sheaf(**{"restrictions/a|a,b/delays": [[1, 3], [2, 1], [0, 0]]}),
                            "'restrictions'"),
+    # input read as I-JSON (RFC 7493): numbers that fit a double, no boolean
+    # quantale values, no repeated names, a tolerance that cannot hide a step
+    "c-of-400-digits": ("flow", "k3_circulant.json",
+                        _set(("restrictions", "1|1,2", "c"), 10 ** 400), "'restrictions'"),
+    "weight-of-400-digits": ("flow", "k3_circulant.json",
+                             _set(("weighting",), {"constant": 10 ** 400}), "'weighting'"),
+    "delay-of-400-digits": ("des", "des_line.json", _set(("delays", "a", 0, 0), 10 ** 400),
+                            "'delays'"),
+    "length-of-400-digits": ("paths", "paths_small.json", _set(("edges", 0, 2), 10 ** 400),
+                             "'edges'"),
+    "number-of-5000-digits": ("flow", "k3_circulant.json",
+                              _raw(("initial", "1"), lambda old: "9" * 5000), "4300 digits"),
+    "nested-100000-deep": ("flow", "k3_circulant.json",
+                           _raw(("initial", "1"), lambda old: "[" * 100_000 + "]" * 100_000),
+                           "nests too deeply"),
+    "weighting-constant-true": ("flow", "k3_circulant.json", _set(("weighting",), {"constant": True}),
+                                "'weighting'"),
+    "initial-true": ("flow", "k3_circulant.json", _set(("initial", "1"), True), "'initial'"),
+    "eps-true": ("prefs", "prefs_chain.json", _set(("eps", "p"), True), "'eps'"),
+    "relation-entry-true": ("prefs", "prefs_chain.json", _set(("initial", "p", 0, 1), True),
+                            "'initial'"),
+    "tolerance-true": ("flow", "k3_circulant.json", _set(("quantale", "tolerance"), True),
+                       "'tolerance'"),
+    "tolerance-infinity": ("flow", "k3_circulant.json",
+                           _raw(("quantale", "tolerance"), lambda old: "Infinity"), "tolerance"),
+    "tolerance-1e308": ("flow", "k3_circulant.json", _set(("quantale", "tolerance"), 1e308),
+                        "tolerance"),
+    "initial-repeated-name": ("flow", "k3_circulant.json",
+                              _raw(("initial",), lambda old: '{"1": 5.0, ' + json.dumps(old)[1:]),
+                              "'initial'"),
+    "restriction-repeated-name": ("flow", "k3_circulant.json",
+                                  _raw(("restrictions",), lambda old: '{"1|1,2": {"kind": "identity"}, '
+                                       + json.dumps(old)[1:]), "'restrictions'"),
 }
 
 

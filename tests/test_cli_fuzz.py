@@ -1,14 +1,16 @@
 """Mutated fixtures never crash the command line.
 
 Each example takes one fixture, applies one or two mutations (drop a field,
-change a value's type, put NaN, "inf", -1, "x" or [] in its place, or make
-it structurally invalid) and runs every subcommand that accepts the
-fixture's kind in-process.  Every run must exit 0, 1 or 2 without an
-exception escaping `main`, and every exit 2 must name the offending field.
+change a value's type, put NaN, "inf", -1, "x", [], a boolean or a 400-digit
+integer in its place, or make it structurally invalid) and runs every
+subcommand that accepts the fixture's kind in-process.  Every run must exit
+0, 1 or 2 without an exception escaping `main`, and every exit 2 must name
+the offending field.
 
 The structural mutations add a key "zz", which names no field, vertex, edge
-or incidence, to a JSON object, or repeat the first entry of a list of
-names.  Applied alone at any location, each must exit 2 naming a field.
+or incidence, to a JSON object, write the first name of a JSON object twice,
+or repeat the first entry of a list of names.  Applied alone at any
+location, each must exit 2 naming a field.
 """
 import contextlib
 import copy
@@ -37,8 +39,17 @@ COMMANDS = {
 FLAGS = {"flow": ["--max-iter", "20"], "des": ["--max-iter", "20"],
          "paths": ["--max-iter", "20"], "prefs": ["--max-iter", "20"],
          "verify": ["--grid", "10"]}
-STRUCTURAL = ("add-key", "repeat-name")
-ACTIONS = ("drop", "retype", float("nan"), "inf", -1, "x", [], *STRUCTURAL)
+STRUCTURAL = ("add-key", "repeat-key", "repeat-name")
+ACTIONS = ("drop", "retype", float("nan"), "inf", -1, "x", [], True, 10 ** 400, *STRUCTURAL)
+
+
+class _RepeatedKey(dict):
+    """A JSON object that json.dumps, which reads a dict subclass through
+    items(), writes with its first name twice."""
+
+    def items(self):
+        items = list(super().items())
+        return items[:1] + items
 
 
 def _paths(node, prefix=()):
@@ -66,9 +77,12 @@ def _retype(v):
 def _structural(v, action):
     """v made structurally invalid by `action`, or None where it does not apply:
     "add-key" needs a JSON object and copies one of its values under the new
-    key, "repeat-name" needs a nonempty list of strings."""
+    key, "repeat-key" a nonempty JSON object, "repeat-name" a nonempty list of
+    strings."""
     if action == "add-key" and isinstance(v, dict):
         return {**v, "zz": copy.deepcopy(next(iter(v.values()), {}))}
+    if action == "repeat-key" and isinstance(v, dict) and v:
+        return _RepeatedKey(v)
     if action == "repeat-name" and isinstance(v, list) and v and all(isinstance(c, str) for c in v):
         return v + v[:1]
     return None

@@ -2,15 +2,13 @@
 from __future__ import annotations
 
 import math
-import random
 import time
 
 import pytest
 
-from sheafflow.apps.des import DesSystem, des_sheaf
-from sheafflow.fileio import load_sheaf
+from corpora import corpus
 from sheafflow.gen import random_cochain, random_crisp_sheaf
-from sheafflow.qcat import QFunctor, UnderlineQ, object_sort_key, transport
+from sheafflow.qcat import QFunctor, UnderlineQ, transport
 from sheafflow.quantale import (
     BooleanQuantale,
     FiniteChainQuantale,
@@ -223,26 +221,6 @@ def test_graph_validation():
         Graph.build(["a"], [("a", "z")])
 
 
-def _scanned_neighbors(g, v):
-    """The reference neighbour list: scan every edge for v, then sort."""
-    out = [(e[1] if v == e[0] else e[0], e) for e in g.edges if v in e]
-    return sorted(out, key=lambda p: object_sort_key(p[0]))
-
-
-def test_neighbors_equal_a_scan_of_the_edges():
-    """The adjacency listed once per graph equals the per-call scan-and-sort,
-    on random graphs whose vertex names mix strings, integers and tuples."""
-    rng = random.Random(0xAD1)
-    for _ in range(300):
-        names = rng.sample([f"v{i}" for i in range(12)] + list(range(12))
-                           + [(chr(97 + i), i) for i in range(12)], rng.randint(1, 12))
-        pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
-        edges = [p if rng.random() < 0.5 else p[::-1]
-                 for p in rng.sample(pairs, rng.randint(0, len(pairs)))]
-        g = Graph.build(names, edges)
-        assert all(list(g.neighbors(v)) == _scanned_neighbors(g, v) for v in g.vertices)
-
-
 def test_laplacian_on_a_large_ring_reads_each_incidence_once():
     """One Laplacian costs O(V + E): 8,000 vertices take well under a second."""
     Q = LawvereRealsQuantale()
@@ -288,81 +266,16 @@ def test_constant_sheaf_has_identity_transports():
                for v, w, e in g.adjacent_pairs() for x in Q.elements())
 
 
-def test_laplacian_and_flow_step_are_crisp_meets_of_cotensors():
-    """The one weighted meet per vertex equals the per-neighbour crisp meet of
-    cotensors, on the criterion-4 corpus of crisp sheaves and all cochains."""
-    rng = random.Random(0xACC4)
-    for _ in range(50):
-        F, W = random_crisp_sheaf(rng)
-        Q = F.quantale
-        w1, w2 = Q.sample(rng), Q.sample(rng)
-        for x in F.cochains.objects():
-            Lx = laplacian(F, W, x)
-            for v in F.graph.vertices:
-                lat = F.vertex_lattices[v]
-                assert Lx[v] == lat.crisp_meet(
-                    [lat.cotensor(W(v, w),
-                                  F.corestrictions[(e, v)](F.restrictions[(w, e)](x[w])))
-                     for w, e in F.graph.neighbors(v)])
-            step = flow_step(F, W, x, w1, w2, Lx=Lx)
-            assert step == {v: F.vertex_lattices[v].crisp_meet(
-                [F.vertex_lattices[v].cotensor(w1, Lx[v]),
-                 F.vertex_lattices[v].cotensor(w2, x[v])]) for v in F.graph.vertices}
-
-
 def _suffix_degrades(trace, Q) -> bool:
     """Does the suffix level hom(x_t, Lx_t) ever strictly decrease?"""
     levels = [s.suffix_level for s in trace.iterations]
     return any(Q.leq(b, a) and not Q.eq(b, a) for a, b in zip(levels, levels[1:]))
 
 
-def _affine_sheaf(rng, stalk):
-    """A seeded sheaf input with affine-shift restrictions, derived unshift
-    corestrictions, weights 0-3 and some infinite starting values."""
-    n = rng.randint(2, 4)
-    verts = [f"v{i}" for i in range(n)]
-    edges = [[verts[rng.randrange(i)], verts[i]] for i in range(1, n)]
-    if [verts[0], verts[-1]] not in edges and rng.random() < 0.5:
-        edges.append([verts[0], verts[-1]])
-    return load_sheaf({
-        "kind": "sheaf", "quantale": {"kind": "lawvere_reals"}, "vertices": verts,
-        "edges": edges, "stalk": {"kind": stalk},
-        "restrictions": {f"{v}|{','.join(sorted(e))}": {"kind": "affine_shift",
-                                                        "c": float(rng.randint(0, 3))}
-                         for e in edges for v in e},
-        "weighting": {"pairs": [[v, w, float(rng.randint(0, 3))] for v, w in edges]},
-        "initial": {v: "inf" if rng.random() < 0.2 else float(rng.randint(0, 10))
-                    for v in verts}})
-
-
-def _des_system(rng, weighted):
-    n = rng.randint(3, 6)
-    g = Graph.build([f"d{i}" for i in range(n)],
-                    [(f"d{rng.randrange(i)}", f"d{i}") for i in range(1, n)])
-    m = rng.randint(2, 3)
-    c = float(rng.randint(1, 2))
-    system = DesSystem(m, {v: [[rng.randint(0, 3) for _ in range(m)] for _ in range(m)]
-                           for v in g.vertices}, g,
-                       {(v, w): c for v, w, _ in g.adjacent_pairs()} if weighted else None)
-    return system, {v: tuple(float(rng.randint(0, 24)) for _ in range(m)) for v in g.vertices}
-
-
-def _criterion4_corpus():
-    rng = random.Random(0xACC4)
-    return [random_crisp_sheaf(rng) for _ in range(50)]
-
-
 def _enriched_flow_inputs():
-    """(F, W, x0) for affine-shift Lawvere sheaves on both orders and for
-    crisp and constant-weight DES systems."""
-    rng = random.Random(16)
-    flows = [_affine_sheaf(rng, stalk) for stalk in ("underline", "underline_op")
-             for _ in range(40)]
-    for weighted in (False, True):
-        for _ in range(20):
-            system, x0 = _des_system(rng, weighted)
-            flows.append((*des_sheaf(system), x0))
-    return flows
+    """(F, W, x0) for affine Lawvere sheaves on both orders and for random DES
+    systems (corpora `affine` and `des-random`)."""
+    return [(c.F, c.W, c.cochains[0]) for c in corpus("affine") + corpus("des-random")]
 
 
 def _doubling_sheaf():
@@ -392,9 +305,9 @@ def test_laplacian_is_an_enriched_endofunctor_of_the_cochains():
     """hom(x, y) <= hom(Lx, Ly) in F.cochains on the first 40 cochains of the
     criterion-4 corpus and on the start and first 10 iterates of the enriched
     flows; the doubling transport breaks it."""
-    for F, W in _criterion4_corpus():
-        defect = _laplacian_defect(F, W, F.cochains.objects()[:40])
-        assert F.quantale.eq(defect, F.quantale.unit), F.graph
+    for case in corpus("criterion4"):
+        defect = _laplacian_defect(case.F, case.W, case.cochains[:40])
+        assert case.F.quantale.eq(defect, case.F.quantale.unit), case.name
     for F, W, x0 in _enriched_flow_inputs():
         trace = harmonic_flow(F, W, x0, max_iter=10)
         defect = _laplacian_defect(F, W, [s.cochain for s in trace.iterations])
@@ -408,9 +321,9 @@ def test_laplacian_is_an_enriched_endofunctor_of_the_cochains():
 def test_suffix_level_never_degrades_under_enriched_transports():
     """With fixed weights and enriched transports, one flow step is an enriched
     endofunctor of the cochains, so hom(x_t, Lx_t) = hom(x_t, x_{t+1}) can only
-    rise: on the criterion-4 corpus, affine-shift Lawvere sheaves on both
-    orders and crisp and constant-weight DES systems."""
-    flows = [(F, W, x0) for F, W in _criterion4_corpus() for x0 in F.cochains.objects()]
+    rise: on the criterion-4 corpus, affine Lawvere sheaves on both orders and
+    random DES systems."""
+    flows = [(c.F, c.W, x0) for c in corpus("criterion4") for x0 in c.cochains]
     for F, W, x0 in flows + _enriched_flow_inputs():
         trace = harmonic_flow(F, W, x0, max_iter=40)
         assert trace.status in ("converged", "max_iter_reached")
