@@ -276,13 +276,22 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
-def test_row(row):
-    cases = [case for name in row.corpora for case in corpus(name) if row.where(case)]
+ROW = {row.name: row for row in ROWS}
+
+
+def check_row(row: Row, where: Callable = lambda case: True) -> None:
+    """Run `row` on the cases of its corpora that both its own `where` and
+    the given `where` admit."""
+    cases = [case for name in row.corpora for case in corpus(name) if row.where(case) and where(case)]
     assert cases or not row.corpora, f"{row.name} reads no case"
     for case in cases or [None]:
         got, want = row.fast(case), row.reference(case)
         assert row.compare(got, want), (case and case.name, got, want)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_row(row):
+    check_row(row)
 
 
 def test_every_corpus_is_read_by_a_row():

@@ -1,13 +1,16 @@
-"""Shortest-path driver: both schedules on hand-built graphs.  The row
-`shortest-paths-vs-classic-oracle` of `test_differential.py` compares both
-with the classical oracle on the corpus `paths`."""
+"""Shortest-path driver: both schedules must match a classical oracle, on
+hand-built graphs and on the graphs of the corpus `paths` that the row
+`shortest-paths-vs-classic-oracle` of `test_differential.py` reads."""
 import math
 from random import Random
 
 import pytest
 
+from corpora import corpus
 from sheafflow.apps.paths import MODES, shortest_paths
 from sheafflow.gen import random_connected_graph
+from sheafflow.oracle import classic_shortest_paths
+from test_differential import ROW
 
 HAND_EDGES = [("s", "a", 2.0), ("s", "b", 5.0), ("a", "b", 1.0),
               ("a", "t", 4.0), ("b", "t", 2.0)]
@@ -52,6 +55,17 @@ def test_single_vertex_graph():
     res = shortest_paths([], "s", vertices=["s"])
     assert res.distances == {"s": 0.0}
     assert res.extractions == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_random_graphs_match_classic_oracle(mode):
+    row = ROW["shortest-paths-vs-classic-oracle"]
+    for case in filter(row.where, corpus("paths")):
+        verts, edges, src = case.source
+        res = shortest_paths(edges, src, mode=mode, vertices=verts)
+        assert res.distances == classic_shortest_paths(edges, src, vertices=verts), case.name
+        if mode == "dijkstra_schedule":
+            assert res.extractions == len(verts)
 
 
 def test_synchronous_trace_converges_within_vertex_count():

@@ -1,10 +1,12 @@
 """Weighted meets and joins: search, closed forms, and universal properties.
 The rows of `test_differential.py` compare closed forms, search and the
-brute-force oracle on the corpus `lattices`."""
+brute-force oracle on the corpus `lattices`; the decomposition row runs here
+once more per stalk family."""
 from __future__ import annotations
 
 import pytest
 
+from corpora import STALKS
 from sheafflow.oracle import brute_weighted_meet
 from sheafflow.qcat import OppositeCategory, PresheafPower, UnderlineQ
 from sheafflow.quantale import (
@@ -19,6 +21,7 @@ from sheafflow.wlattice import (
     analytic_ops_for,
     lattice_for,
 )
+from test_differential import ROW, check_row
 
 
 def chain3_underline():
@@ -105,3 +108,12 @@ def test_analytic_ops_for_rejects_unknown():
     from sheafflow.qcat import FiniteQCategory
     C = FiniteQCategory(BooleanQuantale(), [0], [[1]])
     assert analytic_ops_for(C) is None
+
+
+@pytest.mark.parametrize("stalk", sorted(STALKS))
+def test_weighted_ops_decompose_into_cotensors_and_tensors(stalk):
+    """Kelly 3.10 on the lattices of one stalk family: a weighted meet is the
+    crisp meet of the cotensors of its members, a weighted join the crisp
+    join of their tensors; exact here."""
+    check_row(ROW["weighted-ops-vs-crisp-ops-of-cotensors-and-tensors"],
+              lambda case: case.name.startswith(f"{stalk}["))
